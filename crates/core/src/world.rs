@@ -66,7 +66,7 @@ impl std::fmt::Debug for World {
             .field("batch_jobs", &self.workload.batch_jobs().len())
             .field("sites", &self.sites.len())
             .field("trace_slots", &self.green_trace().len())
-            .field("objects", &self.layout().directory().len())
+            .field("objects", &self.layout().object_count())
             .finish()
     }
 }
@@ -296,7 +296,7 @@ mod tests {
         let warm = World::try_materialize_in(&cfg, &cache).expect("materialises");
         assert_eq!(cold.green_trace().values(), warm.green_trace().values());
         assert_eq!(cold.workload.batch_jobs(), warm.workload.batch_jobs());
-        assert_eq!(cold.layout().directory().len(), warm.layout().directory().len());
+        assert_eq!(cold.layout().object_count(), warm.layout().object_count());
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! Implemented directly against [`rand::Rng`] so the workspace needs no
 //! extra distribution crate. Each sampler documents the algorithm it uses;
-//! all are standard textbook methods chosen for determinism and clarity over
-//! micro-performance (sampling is nowhere near the simulation hot path).
+//! all are standard textbook methods chosen for determinism. Two of them sit
+//! on the per-request hot path of interactive synthesis — [`Zipf`] (one
+//! object draw per request) and [`LogNormal`] (one size draw per request) —
+//! so both precompute everything that does not depend on the draw.
 
 use rand::Rng;
 
@@ -80,13 +82,41 @@ pub fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
 /// Lognormal parameterised by its own mean and coefficient of variation —
 /// friendlier for workload configs ("mean 256 KiB, cv 1.5").
 pub fn lognormal_mean_cv<R: Rng + ?Sized>(rng: &mut R, mean: f64, cv: f64) -> f64 {
-    assert!(mean > 0.0 && cv >= 0.0);
-    if cv == 0.0 {
-        return mean;
+    LogNormal::from_mean_cv(mean, cv).sample(rng)
+}
+
+/// [`lognormal_mean_cv`] with its two logarithms taken once, for loops that
+/// draw many sizes from one distribution. Every sample is bit-identical to
+/// the free function's (same float operations, same RNG draws).
+#[derive(Debug, Clone, Copy)]
+pub struct LogNormal {
+    mean: f64,
+    /// `(mu, sigma)` of the underlying normal; `None` when `cv == 0`, where
+    /// the distribution is the constant `mean` and draws nothing.
+    shape: Option<(f64, f64)>,
+}
+
+impl LogNormal {
+    /// Lognormal with the given mean (`> 0`) and coefficient of variation
+    /// (`>= 0`).
+    pub fn from_mean_cv(mean: f64, cv: f64) -> Self {
+        assert!(mean > 0.0 && cv >= 0.0);
+        if cv == 0.0 {
+            return LogNormal { mean, shape: None };
+        }
+        let sigma2 = (1.0 + cv * cv).ln();
+        let mu = mean.ln() - sigma2 / 2.0;
+        LogNormal { mean, shape: Some((mu, sigma2.sqrt())) }
     }
-    let sigma2 = (1.0 + cv * cv).ln();
-    let mu = mean.ln() - sigma2 / 2.0;
-    lognormal(rng, mu, sigma2.sqrt())
+
+    /// Draw one value.
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        match self.shape {
+            Some((mu, sigma)) => lognormal(rng, mu, sigma),
+            None => self.mean,
+        }
+    }
 }
 
 /// Inverse CDF (quantile function) of the standard normal distribution.
@@ -146,12 +176,19 @@ pub fn normal_quantile(p: f64) -> f64 {
 
 /// Zipf sampler over ranks `0..n` with exponent `s` (popularity skew).
 ///
-/// Builds the CDF once (O(n)) and samples with binary search (O(log n)).
-/// Object-popularity skew in storage traces is classically Zipfian with
-/// `s ≈ 0.8–1.2`.
+/// Builds the CDF once (O(n)) and samples by inverse CDF through a guide
+/// table (Chen–Asau indexed search): the unit interval is cut into `n`
+/// equal buckets, `guide[j]` holds the first rank whose CDF entry falls in
+/// bucket `j` or later, and a draw jumps there and scans forward — O(1)
+/// expected, about two CDF probes per draw. The rank returned is exactly
+/// the smallest `i` with `cdf[i] >= u`; wherever the CDF is strictly
+/// increasing (every `s` and `n` the presets use) that is the rank a
+/// binary search of the CDF finds. Object-popularity skew in storage
+/// traces is classically Zipfian with `s ≈ 0.8–1.2`.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -171,7 +208,27 @@ impl Zipf {
         }
         // Guard against FP round-off leaving the last CDF entry below 1.
         *cdf.last_mut().expect("n > 0") = 1.0;
-        Zipf { cdf }
+        assert!(n <= u32::MAX as usize, "zipf supports at most 2^32 - 1 ranks");
+        // guide[j] = first rank whose CDF entry maps to bucket >= j, with
+        // the mapping `sample` uses on `u`. The mapping is monotone in its
+        // argument, so every rank below guide[bucket(u)] has `cdf < u` even
+        // where `u·n` rounds up across a bucket edge. `bucket(1.0)` is the
+        // last bucket, so the table is full and the scan stops inside it.
+        let mut guide = Vec::with_capacity(n);
+        for (i, &c) in cdf.iter().enumerate() {
+            // Rank i is the first to reach buckets guide.len()..=bucket(c).
+            let b = Self::bucket(c, n);
+            if b >= guide.len() {
+                guide.resize(b + 1, i as u32);
+            }
+        }
+        Zipf { cdf, guide }
+    }
+
+    /// Guide-table bucket of a probability `x ∈ [0, 1]` over `n` buckets.
+    #[inline]
+    fn bucket(x: f64, n: usize) -> usize {
+        ((x * n as f64) as usize).min(n - 1)
     }
 
     /// Number of ranks.
@@ -185,12 +242,21 @@ impl Zipf {
     }
 
     /// Sample a rank in `0..n` (0 = most popular).
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
-        match self.cdf.binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite")) {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
+        self.rank_of(u)
+    }
+
+    /// The smallest rank `i` with `cdf[i] >= u`, for `u ∈ [0, 1)`.
+    #[inline]
+    fn rank_of(&self, u: f64) -> usize {
+        let mut i = self.guide[Self::bucket(u, self.cdf.len())] as usize;
+        // Terminates: the last CDF entry is exactly 1.0 > u.
+        while self.cdf[i] < u {
+            i += 1;
         }
+        i
     }
 
     /// Probability mass of rank `k`.
@@ -375,6 +441,80 @@ mod tests {
             seen[z.sample(&mut r)] = true;
         }
         assert!(seen.iter().all(|&s| s), "all ranks should appear: {seen:?}");
+    }
+
+    /// The binary-search inverse CDF the guide table replaced: the
+    /// reference `Zipf::rank_of` must reproduce exactly.
+    fn binary_search_rank(cdf: &[f64], u: f64) -> usize {
+        match cdf.binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite")) {
+            Ok(i) => i,
+            Err(i) => i.min(cdf.len() - 1),
+        }
+    }
+
+    #[test]
+    fn zipf_guide_table_matches_binary_search() {
+        let below_one = 1.0 - f64::EPSILON / 2.0; // 1 - 2^-53, the largest draw
+        for n in [1usize, 2, 5, 1_000, 100_000] {
+            for s in [0.0, 0.9, 1.2] {
+                let z = Zipf::new(n, s);
+                assert!(z.cdf.windows(2).all(|w| w[0] < w[1]), "n={n} s={s}: cdf not strict");
+                let mut us = vec![0.0, below_one];
+                // Every CDF entry and its neighbours: the ranks' own edges.
+                for &c in &z.cdf {
+                    us.extend([c.next_down(), c, c.next_up()]);
+                }
+                // Every guide bucket edge j/n and its neighbours, where
+                // `u·n` can round across the edge.
+                for j in 0..n {
+                    let edge = j as f64 / n as f64;
+                    us.extend([edge.next_down(), edge, edge.next_up()]);
+                }
+                let mut r = rng();
+                us.extend((0..10_000).map(|_| r.gen::<f64>()));
+                for u in us {
+                    if !(0.0..1.0).contains(&u) {
+                        continue; // outside the sampler's domain [0, 1)
+                    }
+                    assert_eq!(z.rank_of(u), binary_search_rank(&z.cdf, u), "n={n} s={s} u={u:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_sample_draws_one_uniform_per_rank() {
+        // `sample` consumes exactly one `gen::<f64>()` and inverts it, so
+        // a replayed RNG gives the binary-search rank of the same draw.
+        let z = Zipf::new(1_000, 1.1);
+        let (mut a, mut b) = (rng(), rng());
+        for _ in 0..1_000 {
+            let k = z.sample(&mut a);
+            assert_eq!(k, binary_search_rank(&z.cdf, b.gen::<f64>()));
+        }
+    }
+
+    #[test]
+    fn lognormal_sampler_is_bit_identical_to_inline_formula() {
+        // The per-call formula `LogNormal` hoisted: both logarithms taken
+        // on every draw.
+        fn per_call(rng: &mut SmallRng, mean: f64, cv: f64) -> f64 {
+            if cv == 0.0 {
+                return mean;
+            }
+            let sigma2 = (1.0 + cv * cv).ln();
+            let mu = mean.ln() - sigma2 / 2.0;
+            lognormal(rng, mu, sigma2.sqrt())
+        }
+        for (mean, cv) in [(256.0 * 1024.0, 1.5), (10.0, 0.0), (1.0, 1e-12), (4096.0, 0.3)] {
+            let d = LogNormal::from_mean_cv(mean, cv);
+            let (mut a, mut b, mut c) = (rng(), rng(), rng());
+            for _ in 0..1_000 {
+                let want = per_call(&mut a, mean, cv).to_bits();
+                assert_eq!(d.sample(&mut b).to_bits(), want, "mean={mean} cv={cv}");
+                assert_eq!(lognormal_mean_cv(&mut c, mean, cv).to_bits(), want);
+            }
+        }
     }
 
     #[test]

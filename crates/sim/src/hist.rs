@@ -34,6 +34,14 @@ pub struct LogHistogram {
     memo_bits: u64,
     #[serde(default, skip_serializing_if = "always_skip")]
     memo_bucket: usize,
+    /// `uppers[i] == bucket_upper(i)`, grown on demand by `bucket_of` so
+    /// a record settles its `ln()` estimate with table reads instead of
+    /// `powi` calls. Acceleration state like the memo: excluded from
+    /// serialization and rebuilt lazily after a deserialize. Grows to one
+    /// entry per bucket up to the largest value recorded (or to the first
+    /// bucket whose bound overflows to +inf).
+    #[serde(default, skip_serializing_if = "always_skip")]
+    uppers: Vec<f64>,
 }
 
 fn always_skip<T>(_: &T) -> bool {
@@ -58,6 +66,7 @@ impl LogHistogram {
             max_seen: 0.0,
             memo_bits: 0,
             memo_bucket: 0,
+            uppers: Vec::new(),
         }
     }
 
@@ -69,28 +78,49 @@ impl LogHistogram {
 
     /// Bucket index of value `v`: the smallest `i` with
     /// `v <= bucket_upper(i)`. The ln-based estimate only seeds the search;
-    /// the answer is always settled against [`Self::bucket_upper`] itself,
-    /// so the two functions share one integer mapping by construction and a
-    /// value exactly on a bucket edge can never land in a bucket whose
-    /// upper bound is below it (which would make `quantile` under-report).
-    fn bucket_of(&self, v: f64) -> usize {
+    /// the answer is always settled against the bounds table, which holds
+    /// [`Self::bucket_upper`] itself, so the two functions share one
+    /// integer mapping by construction and a value exactly on a bucket edge
+    /// can never land in a bucket whose upper bound is below it (which
+    /// would make `quantile` under-report).
+    fn bucket_of(&mut self, v: f64) -> usize {
         if v <= self.floor {
             return 0;
         }
-        let mut i =
-            (((v.ln() - self.ln_floor) / self.ln_factor).floor() as usize).saturating_add(1);
+        let est = (((v.ln() - self.ln_floor) / self.ln_factor).floor() as usize).saturating_add(1);
+        if est >= self.uppers.len() {
+            self.grow_uppers(est);
+        }
+        // Past the first infinite bound every bucket is that one's twin;
+        // clamping there keeps the walk below short.
+        let mut i = est.min(self.uppers.len() - 1);
         // The float estimate is off by at most a few ulps of an index;
         // nudge it until the defining inequalities hold exactly:
         // bucket_upper(i-1) < v <= bucket_upper(i).
-        while i > 0 && v <= self.bucket_upper(i - 1) {
+        while i > 0 && v <= self.uppers[i - 1] {
             i -= 1;
         }
-        while v > self.bucket_upper(i) {
-            // Terminates: bucket_upper grows monotonically to +inf (powi
-            // overflow saturates at inf, and `v > inf` is false).
+        while v > self.uppers[i] {
+            // Terminates: the bounds grow monotonically to +inf (powi
+            // overflow saturates at inf, and `v > inf` is false), and the
+            // table always extends while its last bound is finite.
             i += 1;
+            if i == self.uppers.len() {
+                self.grow_uppers(i);
+            }
         }
         i
+    }
+
+    /// Extend the bounds table to cover bucket `i`, stopping early at the
+    /// first bucket whose bound is +inf (every later bound is too).
+    fn grow_uppers(&mut self, i: usize) {
+        while self.uppers.len() <= i {
+            if self.uppers.last().is_some_and(|u| u.is_infinite()) {
+                return;
+            }
+            self.uppers.push(self.bucket_upper(self.uppers.len()));
+        }
     }
 
     /// Upper bound of bucket `i` — the single source of truth for bucket
@@ -267,19 +297,74 @@ mod tests {
         // bucket, so `bucket_upper(bucket_of(v)) >= v` holds with equality
         // on edges and a single recorded edge value quantiles to itself.
         for bpd in [1u32, 3, 7, 10, 20, 29] {
-            let h = LogHistogram::new(1e-6, bpd);
+            let mut h = LogHistogram::new(1e-6, bpd);
             for k in 0..300 {
                 let edge = h.bucket_upper(k);
                 if !edge.is_finite() {
                     break;
                 }
                 assert_eq!(h.bucket_of(edge), k, "bpd={bpd} k={k} edge={edge}");
-                assert!(h.bucket_upper(h.bucket_of(edge)) >= edge);
+                let b = h.bucket_of(edge);
+                assert!(h.bucket_upper(b) >= edge);
                 let mut one = LogHistogram::new(1e-6, bpd);
                 one.record(edge);
                 assert_eq!(one.quantile(0.99), edge, "bpd={bpd} k={k}");
             }
         }
+    }
+
+    #[test]
+    fn bounds_table_brackets_every_edge_neighbour() {
+        // Every bucket edge up to ~10^4 s, and its ulp neighbours, must
+        // satisfy the defining inequalities against the closed-form bound,
+        // both on a histogram whose table grew edge by edge and on a fresh
+        // one that builds its table in a single jump.
+        for bpd in [1u32, 7, 20, 29] {
+            let mut warm = LogHistogram::new(1e-6, bpd);
+            for k in 0.. {
+                let edge = warm.bucket_upper(k);
+                if edge > 1e4 {
+                    break;
+                }
+                for v in [edge.next_down(), edge, edge.next_up()] {
+                    let i = warm.bucket_of(v);
+                    let lower = if i == 0 { 0.0 } else { warm.bucket_upper(i - 1) };
+                    assert!(lower < v || i == 0, "bpd={bpd} v={v:e}: above bucket {i}");
+                    assert!(v <= warm.bucket_upper(i), "bpd={bpd} v={v:e}: below bucket {i}");
+                    let mut cold = LogHistogram::new(1e-6, bpd);
+                    assert_eq!(cold.bucket_of(v), i, "bpd={bpd} v={v:e}");
+                }
+            }
+            for (i, &u) in warm.uppers.iter().enumerate() {
+                assert_eq!(u.to_bits(), warm.bucket_upper(i).to_bits(), "bpd={bpd} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn serde_round_trip_rebuilds_the_bounds_table() {
+        let prefix = [3e-3, 2e-4, 2e-4, 7.5, 0.0, 1.25e-2];
+        let suffix = [2e-4, 40.0, 3e-3, 1e-7, 9e3, 1.25e-2, 0.5];
+        let mut warm = LogHistogram::for_latency_secs();
+        let mut fresh = LogHistogram::for_latency_secs();
+        for v in prefix {
+            warm.record(v);
+            fresh.record(v);
+        }
+        assert!(!warm.uppers.is_empty());
+        let json = serde_json::to_string(&warm).expect("serialises");
+        assert!(!json.contains("uppers") && !json.contains("memo"), "{json}");
+        let mut restored: LogHistogram = serde_json::from_str(&json).expect("deserialises");
+        assert!(restored.uppers.is_empty(), "the table is not serialised");
+        for v in suffix {
+            warm.record(v);
+            restored.record(v);
+            fresh.record(v);
+        }
+        assert_eq!(restored.counts, fresh.counts);
+        assert_eq!(warm.counts, fresh.counts);
+        assert_eq!(restored.count(), fresh.count());
+        assert_eq!(restored.max(), fresh.max());
     }
 
     #[test]

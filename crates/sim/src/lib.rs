@@ -4,7 +4,9 @@
 //! simulation: scheduling decisions happen on a coarse slotted clock
 //! (1 hour by default, matching the paper-era convention of hourly
 //! renewable-energy prediction), while intra-slot storage service is
-//! resolved at microsecond resolution through a discrete-event queue.
+//! resolved at microsecond resolution: `gm-storage` gives every disk an
+//! FCFS timeline cursor (its `queue` module), so each request's start and
+//! completion follow in O(1) from its arrival, with no global event heap.
 //!
 //! This crate provides the substrate every other crate builds on:
 //!

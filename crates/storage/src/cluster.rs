@@ -26,7 +26,7 @@ use crate::cache::{LruCache, CACHE_HIT_SERVICE};
 use crate::disk::{Disk, DiskSpec};
 use crate::failure::FailureReport;
 use crate::layout::{obj_hash, LayoutKind, Topology};
-use crate::object::{DataObject, DiskIdx, ObjectId, Placement};
+use crate::object::{DiskIdx, ObjectId, Placement};
 use crate::queue::{DiskQueue, ServedRequest};
 use crate::request::{IoKind, IoRequest};
 use crate::server::{Server, ServerSpec};
@@ -136,29 +136,37 @@ impl SlotEnergy {
 /// only the cheap mutable state (disks, queues, write log, counters).
 /// Nothing in the simulation mutates the directory — failures track
 /// rebuild state per *disk*, not per object.
+///
+/// The directory is one flat table of stride `spec.replication`: object
+/// `i`'s replica disks are `replicas[i·R .. (i+1)·R]`, in replica order
+/// (0 = primary). Every object has exactly `R` replicas and the uniform
+/// size `spec.object_size_bytes`, so nothing per object needs its own
+/// allocation, and a request's replica lookup is one contiguous read.
 #[derive(Debug, Clone)]
 pub struct ClusterLayout {
     spec: ClusterSpec,
-    directory: Vec<DataObject>,
+    replicas: Vec<DiskIdx>,
 }
 
 impl ClusterLayout {
     /// Place every object of `spec` and freeze the result.
     pub fn new(spec: ClusterSpec) -> Self {
-        assert!(spec.replication >= 1);
+        let r = spec.replication;
+        assert!(r >= 1);
         let topo = spec.topology;
         let layout = spec.layout.build(spec.layout_seed);
-        let directory = (0..spec.objects)
-            .map(|i| {
-                let id = ObjectId(i as u64);
-                DataObject::new(
-                    id,
-                    spec.object_size_bytes,
-                    layout.place(&topo, id, spec.replication),
-                )
-            })
-            .collect();
-        ClusterLayout { spec, directory }
+        let mut replicas = Vec::with_capacity(spec.objects * r);
+        for i in 0..spec.objects {
+            let id = ObjectId(i as u64);
+            let placed = layout.place(&topo, id, r);
+            assert_eq!(placed.len(), r, "layout placed {id:?} on the wrong replica count");
+            debug_assert!(
+                placed.iter().enumerate().all(|(k, d)| !placed[..k].contains(d)),
+                "object {id:?} has duplicate replica disks: {placed:?}"
+            );
+            replicas.extend_from_slice(&placed);
+        }
+        ClusterLayout { spec, replicas }
     }
 
     /// The spec the layout was placed for.
@@ -166,9 +174,20 @@ impl ClusterLayout {
         &self.spec
     }
 
-    /// The placed object directory.
-    pub fn directory(&self) -> &[DataObject] {
-        &self.directory
+    /// Number of placed objects.
+    pub fn object_count(&self) -> usize {
+        self.replicas.len() / self.spec.replication
+    }
+
+    /// Disks holding object `obj`'s replicas, in replica order (0 =
+    /// primary); all distinct, `spec.replication` of them.
+    ///
+    /// # Panics
+    /// If `obj` is not a placed object.
+    #[inline]
+    pub fn replicas_of(&self, obj: usize) -> &[DiskIdx] {
+        let r = self.spec.replication;
+        &self.replicas[obj * r..(obj + 1) * r]
     }
 }
 
@@ -427,7 +446,7 @@ impl Cluster {
                 return Placement::Erasure { k: t.k, m: t.m, shards: shards.clone() };
             }
         }
-        Placement::Replicated { replicas: self.layout.directory[obj].replicas.clone() }
+        Placement::Replicated { replicas: self.layout.replicas_of(obj).to_vec() }
     }
 
     /// Deterministic EC shard placement for `obj`, packed bottom-up: shard
@@ -702,11 +721,6 @@ impl Cluster {
         GearState { active: self.active_gears, total: self.layout.spec.topology.gears }
     }
 
-    /// The object directory.
-    pub fn directory(&self) -> &[DataObject] {
-        &self.layout.directory
-    }
-
     /// The write log.
     pub fn write_log(&self) -> &WriteLog {
         &self.writelog
@@ -763,9 +777,9 @@ impl Cluster {
             return;
         }
         self.disk_objects = vec![Vec::new(); self.layout.spec.topology.n_disks()];
-        for obj in &self.layout.directory {
-            for &d in &obj.replicas {
-                self.disk_objects[d].push(obj.id.0 as u32);
+        for obj in 0..self.layout.object_count() {
+            for &d in self.layout.replicas_of(obj) {
+                self.disk_objects[d].push(obj as u32);
             }
         }
     }
@@ -790,8 +804,8 @@ impl Cluster {
             if self.tiering.as_ref().is_some_and(|t| t.ec.contains_key(&(oid as usize))) {
                 continue;
             }
-            let obj = &self.layout.directory[oid as usize];
-            let intact = obj.replicas.iter().any(|&d| d != disk && !self.pending_rebuild[d]);
+            let replicas = self.layout.replicas_of(oid as usize);
+            let intact = replicas.iter().any(|&d| d != disk && !self.pending_rebuild[d]);
             if !intact {
                 lost += 1;
             }
@@ -923,7 +937,7 @@ impl Cluster {
     /// Serve one interactive request. Returns the client-visible outcome.
     pub fn serve_request(&mut self, req: &IoRequest) -> ServedRequest {
         let obj_idx = req.object.0 as usize;
-        let obj_size = self.layout.directory[obj_idx].size_bytes;
+        let obj_size = self.layout.spec.object_size_bytes;
         if let Some(t) = &mut self.tiering {
             // Access tracking on the hot path: one saturating add.
             t.hits[obj_idx] = t.hits[obj_idx].saturating_add(1);
@@ -948,7 +962,7 @@ impl Cluster {
                 // is the per-request hot path and must not clone the replica
                 // list.
                 let (disk, forced, degraded) = {
-                    let replicas = &self.layout.directory[obj_idx].replicas;
+                    let replicas = self.layout.replicas_of(obj_idx);
                     // Least-backlogged replica among available disks.
                     let best_active = replicas
                         .iter()
@@ -996,9 +1010,8 @@ impl Cluster {
                 // the client's critical path; other active replicas absorb
                 // it too; powered-down replicas are off-loaded to the log.
                 let mut ack: Option<ServedRequest> = None;
-                let n_replicas = self.layout.directory[obj_idx].replicas.len();
-                for r in 0..n_replicas {
-                    let disk = self.layout.directory[obj_idx].replicas[r];
+                for r in 0..self.layout.spec.replication {
+                    let disk = self.layout.replicas_of(obj_idx)[r];
                     if r == 0 || self.disk_available(disk) {
                         let ready = self.ensure_disk_up(
                             disk,
@@ -1279,9 +1292,9 @@ mod tests {
     #[test]
     fn builds_and_places_objects() {
         let c = small_cluster();
-        assert_eq!(c.directory().len(), 1_000);
-        for obj in c.directory() {
-            assert_eq!(obj.replication(), 3);
+        assert_eq!(c.layout().object_count(), 1_000);
+        for obj in 0..c.layout().object_count() {
+            assert_eq!(c.layout().replicas_of(obj).len(), 3);
         }
         assert_eq!(c.gear_state(), GearState { active: 3, total: 3 });
     }
@@ -1450,8 +1463,8 @@ mod tests {
     fn all_replicas_rebuilding_degrades_reads() {
         let mut c = small_cluster();
         // Find an object's full replica set and fail it all.
-        let replicas = c.directory()[0].replicas.clone();
-        let oid = c.directory()[0].id;
+        let replicas = c.layout().replicas_of(0).to_vec();
+        let oid = ObjectId(0);
         for &d in &replicas {
             c.fail_disk(d, SimTime::from_secs(1));
         }

@@ -52,7 +52,7 @@ pub use failure::{FailureDice, FailureReport, FailureSpec, HOURS_PER_YEAR};
 pub use layout::{
     ChainedDeclustering, CopysetLayout, GearLayout, Layout, LayoutKind, RandomLayout, Topology,
 };
-pub use object::{DataObject, ObjectId, Placement};
+pub use object::{ObjectId, Placement};
 pub use queue::{DiskQueue, ServedRequest};
 pub use request::{IoKind, IoRequest};
 pub use server::{Server, ServerSpec};

@@ -26,7 +26,8 @@
 //!   that skips blocks whose latest `end` precedes the slot. Exact same
 //!   set, usable from any slot without history (cold queries, resume).
 
-use gm_sim::dist::{exponential, lognormal_mean_cv, poisson, Zipf};
+use crate::order::extend_in_arrival_order;
+use gm_sim::dist::{exponential, poisson, LogNormal, Zipf};
 use gm_sim::rng::splitmix64;
 use gm_sim::time::{SimDuration, SimTime};
 use gm_sim::{RngFactory, SlotClock};
@@ -439,17 +440,18 @@ impl InteractiveGenerator {
         out
     }
 
-    /// [`Self::requests_in_slot`] into a caller-owned buffer (cleared
-    /// first), so the per-slot hot loop reuses one allocation for the life
-    /// of a run.
+    /// [`Self::requests_in_slot`] into a caller-owned buffer: `out` is
+    /// cleared and refilled, keeping its allocation. The live set, the
+    /// unordered requests and the ordering keys are per-call scratch; the
+    /// simulation's hot loop does not come here but fills memoised
+    /// columns through [`crate::Workload::slot_batch_with_live`].
     pub fn requests_in_slot_into(&self, clock: SlotClock, slot: usize, out: &mut Vec<IoRequest>) {
         out.clear();
-        let a = clock.slot_start(slot).0;
-        let b = clock.slot_end(slot).0;
-        let mut scratch = Vec::new();
-        self.cols.for_each_live(a, b, |i| scratch.push(i as u32));
-        self.synthesize_streams_into(clock, slot, &scratch, out);
-        out.sort_by_key(|r| r.arrival);
+        let mut live = Vec::new();
+        self.live_streams_in_slot(clock, slot, &mut live);
+        let mut unordered = Vec::new();
+        self.synthesize_streams_into(clock, slot, &live, &mut unordered);
+        extend_in_arrival_order(&unordered, out);
     }
 
     /// Append the requests of the given streams in `slot` to `out`
@@ -460,7 +462,8 @@ impl InteractiveGenerator {
     /// disjoint stream ranges in ascending stream order — no matter how
     /// the ranges were split across shards or threads — yields exactly
     /// the sequence a single-threaded walk of the live set produces. One
-    /// stable sort by arrival then gives the canonical slot ordering.
+    /// arrival-ordering pass (ties in stream order) then gives the
+    /// canonical slot ordering.
     pub fn synthesize_streams_into(
         &self,
         clock: SlotClock,
@@ -472,6 +475,7 @@ impl InteractiveGenerator {
         let b = clock.slot_end(slot);
         let mid = a + clock.width() / 2;
         let diurnal = self.spec.diurnal(mid);
+        let sizes = LogNormal::from_mean_cv(self.spec.mean_size_bytes, self.spec.size_cv);
         let slot_mix = (slot as u64).wrapping_mul(KEY_B);
         for &i in streams {
             let i = i as usize;
@@ -493,8 +497,7 @@ impl InteractiveGenerator {
                 let dt = rng.gen::<f64>() * span;
                 let arrival = lo + SimDuration::from_secs_f64(dt);
                 let object = ObjectId(self.popularity.sample(&mut rng) as u64);
-                let size = lognormal_mean_cv(&mut rng, self.spec.mean_size_bytes, self.spec.size_cv)
-                    .max(512.0) as u64;
+                let size = sizes.sample(&mut rng).max(512.0) as u64;
                 let req = if rng.gen::<f64>() < self.spec.read_fraction {
                     IoRequest::read(arrival, object, size)
                 } else {

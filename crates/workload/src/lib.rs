@@ -30,6 +30,7 @@ pub mod columns;
 pub mod feed;
 pub mod interactive;
 pub mod job;
+mod order;
 pub mod stats;
 pub mod trace;
 

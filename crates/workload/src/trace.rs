@@ -13,6 +13,7 @@ use crate::batch::{BatchGenerator, BatchSpec};
 use crate::columns::RequestBatch;
 use crate::interactive::{InteractiveGenerator, InteractiveSpec};
 use crate::job::{BatchJob, BatchKind, JobId, JobState};
+use crate::order::{batch_in_arrival_order, extend_in_arrival_order};
 use gm_sim::pool::Task;
 use gm_sim::time::SimTime;
 use gm_sim::{RngFactory, SlotClock, WorkPool};
@@ -138,14 +139,16 @@ impl Workload {
     }
 
     /// Synthesise the requests of the given live streams, fanned across
-    /// `shards` pool tasks, and return them in canonical slot order.
+    /// `shards` pool tasks, in ascending stream order (not yet in arrival
+    /// order).
     ///
     /// **Shard-invariant by construction**: each stream's requests come
     /// from its own `(stream, slot)`-keyed RNG, shards cover disjoint
-    /// contiguous ranges of the ascending live list, results are stitched
-    /// by shard index, and one stable sort by arrival produces the
-    /// canonical order. The output is byte-identical for every `shards`
-    /// value and thread count (a property test pins this).
+    /// contiguous ranges of the ascending live list, and results are
+    /// stitched by shard index. The callers' one arrival-ordering pass
+    /// (ties in stream order) then produces the canonical order, which is
+    /// byte-identical for every `shards` value and thread count (a
+    /// property test pins this).
     fn synthesize_live(
         &self,
         clock: SlotClock,
@@ -180,7 +183,6 @@ impl Workload {
                 out.append(&mut cell.lock().expect("shard cell"));
             }
         }
-        out.sort_by_key(|r| r.arrival); // stable: ties keep stream order
         out
     }
 
@@ -195,7 +197,20 @@ impl Workload {
     ) -> Vec<IoRequest> {
         let mut live = Vec::new();
         self.interactive.live_streams_in_slot(clock, slot, &mut live);
-        self.synthesize_live(clock, slot, &live, shards)
+        self.ordered_live(clock, slot, &live, shards)
+    }
+
+    /// [`Self::synthesize_live`] in canonical slot order.
+    fn ordered_live(
+        &self,
+        clock: SlotClock,
+        slot: usize,
+        live: &[u32],
+        shards: usize,
+    ) -> Vec<IoRequest> {
+        let mut out = Vec::new();
+        extend_in_arrival_order(&self.synthesize_live(clock, slot, live, shards), &mut out);
+        out
     }
 
     /// Requests of one slot (stateless live query + auto-sharded
@@ -203,7 +218,7 @@ impl Workload {
     pub fn requests_in_slot(&self, clock: SlotClock, slot: usize) -> Vec<IoRequest> {
         let mut live = Vec::new();
         self.interactive.live_streams_in_slot(clock, slot, &mut live);
-        self.synthesize_live(clock, slot, &live, Self::auto_shards(live.len()))
+        self.ordered_live(clock, slot, &live, Self::auto_shards(live.len()))
     }
 
     /// [`Self::requests_in_slot`] into a caller-owned buffer (cleared
@@ -268,7 +283,7 @@ impl Workload {
                 }
             };
             let requests = self.synthesize_live(clock, slot, live, Self::auto_shards(live.len()));
-            Arc::new(RequestBatch::from_requests(&requests))
+            Arc::new(batch_in_arrival_order(&requests))
         })
         .clone()
     }

@@ -21,6 +21,12 @@ cargo test -q --test snapshot
 echo "==> shard-invariance gate (10^5-stream workload kernel, release)"
 cargo test -q --release --test workload_kernel -- --ignored
 
+echo "==> benchmark package builds against the current crates (perfbench/)"
+cargo build --release --manifest-path perfbench/Cargo.toml
+
+echo "==> benchmark self-test (percentile rule, schema, manifest)"
+python3 perfbench/test_run.py
+
 echo "==> cargo bench --bench e2e -- --test (smoke)"
 cargo bench -p gm-bench --bench e2e -- --test
 

@@ -37,9 +37,10 @@ proptest! {
         spec.layout_seed = seed;
         let c = Cluster::new(spec);
         let topo = *c.topology();
-        for obj in c.directory() {
-            prop_assert!(obj.replicas.iter().any(|&d| topo.gear_of_disk(d) == 0),
-                "object {:?} lacks a gear-0 replica: {:?}", obj.id, obj.replicas);
+        for obj in 0..c.layout().object_count() {
+            let replicas = c.layout().replicas_of(obj);
+            prop_assert!(replicas.iter().any(|&d| topo.gear_of_disk(d) == 0),
+                "object {} lacks a gear-0 replica: {:?}", obj, replicas);
         }
     }
 }

@@ -131,6 +131,19 @@ fn synthesis_is_shard_invariant_on_random_specs() {
                 let many = workload.synthesize_slot_requests(clock, slot, shards);
                 assert_eq!(one, many, "case {case}, slot {slot}: {shards} shards diverged");
             }
+            // Every ordered form equals the reference: the stream-ordered
+            // concatenation under a stable sort by arrival (ties keep
+            // stream order).
+            let mut live = Vec::new();
+            workload.interactive().live_streams_in_slot(clock, slot, &mut live);
+            let mut reference = Vec::new();
+            workload.interactive().synthesize_streams_into(clock, slot, &live, &mut reference);
+            reference.sort_by_key(|r| r.arrival);
+            assert_eq!(one, reference, "case {case}, slot {slot}: not the stable order");
+            assert_eq!(workload.requests_in_slot(clock, slot), reference);
+            assert_eq!(workload.interactive().requests_in_slot(clock, slot), reference);
+            let memo: Vec<_> = workload.slot_batch(clock, slot).iter().collect();
+            assert_eq!(memo, reference, "case {case}, slot {slot}: memo batch diverged");
         }
     }
 }
