@@ -1,12 +1,13 @@
 //! Scaling of the min-cost-flow matcher with job count and horizon — the
-//! per-slot planning cost a deployment would pay. Uses a cold handle per
-//! configuration so the numbers reflect a from-scratch solve; see
-//! `matcher_kernel` for the warm-start comparison.
+//! per-slot planning cost a deployment would pay. Iterations alternate
+//! between two job lists that differ by one unit of work in one deadline
+//! group, so every solve is a from-scratch rebuild rather than a memo
+//! replay of the previous round.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gm_storage::ClusterSpec;
 use gm_workload::JobId;
-use greenmatch::matcher::{MatchInput, Matcher};
+use greenmatch::matcher::{MatchInput, Matcher, UNIT_BYTES};
 use greenmatch::policy::{BatteryView, JobView, PlanningModel, SiteView};
 
 fn jobs(n: usize) -> Vec<JobView> {
@@ -30,18 +31,22 @@ fn bench_matcher(c: &mut Criterion) {
     for n_jobs in [10usize, 100, 1_000] {
         for horizon in [6usize, 24, 48] {
             let js = jobs(n_jobs);
+            let mut js_alt = js.clone();
+            js_alt[0].remaining_bytes += UNIT_BYTES;
+            let job_lists = [js, js_alt];
             let g = green(horizon);
             let busy = vec![500.0; horizon];
             let mut matcher = Matcher::new();
-            matcher.set_warm_start(false);
+            let mut round = 0usize;
             group.bench_with_input(
                 BenchmarkId::new(format!("jobs{n_jobs}"), horizon),
                 &horizon,
                 |b, _| {
                     b.iter(|| {
+                        round += 1;
                         let home = [SiteView::home(&g, model, BatteryView::default())];
                         let input = MatchInput {
-                            jobs: &js,
+                            jobs: &job_lists[round % 2],
                             current_slot: 0,
                             horizon,
                             sites: &home,

@@ -61,14 +61,14 @@ fn main() {
     let mut slots_total = 0usize;
     for case in 0..cases {
         let mut rng = TestRng::for_case(&scope, case);
-        let cfg = fuzzgen::fuzz_config(&mut rng);
-        let label = fuzzgen::describe(&cfg);
+        let sample = fuzzgen::fuzz_case(&mut rng);
+        let label = fuzzgen::describe(&sample);
         let audit = if split {
             // Interrupt the case at a random slot, restore from the
             // serialized checkpoint, and require the stitched trace to
             // match the cold trace byte for byte on top of a clean audit.
-            let fork = (rng.next_u64() % (cfg.slots as u64 + 1)) as usize;
-            let run = fuzzgen::run_split(&cfg, fork);
+            let fork = (rng.next_u64() % (sample.cfg.slots as u64 + 1)) as usize;
+            let run = fuzzgen::run_split(&sample, fork);
             if run.stitched_trace != run.cold_trace {
                 eprintln!("case {case} FAILED [{label}]: resumed trace diverged at fork {fork}");
                 failed.push(FailedCase {
@@ -82,7 +82,7 @@ fn main() {
             }
             run.resumed_audit
         } else {
-            fuzzgen::run_audited(&cfg).1
+            fuzzgen::run_audited(&sample).1
         };
         slots_total += audit.slots_audited;
         if !audit.is_clean() {

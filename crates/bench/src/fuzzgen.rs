@@ -7,19 +7,23 @@
 //! an independently sampled point of the configuration space — site count
 //! and UTC offsets, battery chemistry and size, discharge strategy,
 //! forecaster, scheduling policy, renewable source, WAN pricing, and
-//! failure injection — run under the [`greenmatch::audit`] layer.
+//! failure injection, tiering, admission, and whether batch arrivals come
+//! through a replay [`EventFeed`] or the population cursor — run under the
+//! [`greenmatch::audit`] layer.
 //!
 //! Sampling uses the `proptest` shim's [`TestRng`] imperatively, so a case
 //! is reproducible from its `(seed, case)` pair alone: re-running
 //! `fuzz --seed S` replays the identical configuration sequence.
 
+use gm_workload::EventFeed;
 use greenmatch::audit::AuditReport;
 use greenmatch::config::{
     AdmissionConfig, DischargeStrategy, ExperimentConfig, ForecastKind, SourceKind, TieringConfig,
 };
 use greenmatch::policy::PolicyKind;
 use greenmatch::report::RunReport;
-use greenmatch::simulation::Simulation;
+use greenmatch::simulation::{Simulation, SimulationBuilder};
+use greenmatch::world::World;
 use proptest::test_runner::TestRng;
 
 use gm_energy::battery::BatterySpec;
@@ -60,8 +64,21 @@ fn battery(rng: &mut TestRng) -> Option<BatterySpec> {
     }
 }
 
-/// Sample one experiment configuration.
-pub fn fuzz_config(rng: &mut TestRng) -> ExperimentConfig {
+/// One sampled fuzz case: an experiment configuration plus its arrival
+/// transport.
+#[derive(Debug, Clone)]
+pub struct FuzzCase {
+    /// The sampled configuration.
+    pub cfg: ExperimentConfig,
+    /// Drive batch arrivals through an [`EventFeed::replay`] of the
+    /// workload instead of the population cursor. The two are
+    /// byte-identical, so everything downstream must be unable to tell the
+    /// difference.
+    pub feed: bool,
+}
+
+/// Sample one fuzz case.
+pub fn fuzz_case(rng: &mut TestRng) -> FuzzCase {
     let seed = rng.next_u64();
     let slots = range_u64(rng, 24, 48) as usize;
     let mut cfg = ExperimentConfig::small_demo(seed)
@@ -99,12 +116,11 @@ pub fn fuzz_config(rng: &mut TestRng) -> ExperimentConfig {
             DischargeStrategy::Reserve(0.75),
         ],
     );
-    // Mostly warm-started matchers (the default), with occasional cold
-    // runs so the fuzzer also exercises the rebuild-every-slot path.
-    cfg.matcher_warm_start = !rng.next_u64().is_multiple_of(4);
-    // Mostly site-parallel phases (the default), with occasional
-    // sequential runs so the fuzzer covers the reference path too.
-    cfg.site_parallel = !rng.next_u64().is_multiple_of(4);
+    // Two retired dimensions (matcher warm start, per-site fan-out) are
+    // still drawn and discarded, so a given (seed, case) replays the same
+    // configuration it always did.
+    let _ = rng.next_u64();
+    let _ = rng.next_u64();
     // Stream-count dimension: occasionally re-spread the interactive half
     // over up to 10⁴ sessions (aggregate volume unchanged), exercising the
     // activation index and shard-parallel synthesis at off-preset sizes.
@@ -164,17 +180,14 @@ pub fn fuzz_config(rng: &mut TestRng) -> ExperimentConfig {
     }
 
     // Arrival transport: roughly one case in four replays the workload
-    // through the in-process event feed instead of the batch cursor — the
-    // byte-identity contract means everything downstream must be unable
-    // to tell the difference, which the auditor now checks at fuzz scale.
-    if rng.next_u64().is_multiple_of(4) {
-        cfg = cfg.with_feed_arrivals(true);
-    }
-    cfg
+    // through the in-process event feed instead of the batch cursor.
+    let feed = rng.next_u64().is_multiple_of(4);
+    FuzzCase { cfg, feed }
 }
 
 /// Compact label of the sampled dimensions, for failure diagnostics.
-pub fn describe(cfg: &ExperimentConfig) -> String {
+pub fn describe(case: &FuzzCase) -> String {
+    let cfg = &case.cfg;
     let chem = match &cfg.energy.battery {
         None => "none".to_string(),
         Some(b) => format!("{:.0}kWh", b.capacity_wh / 1000.0),
@@ -188,7 +201,7 @@ pub fn describe(cfg: &ExperimentConfig) -> String {
         Some(a) => format!("α{}/d{}", a.alpha, a.defer_slots),
     };
     format!(
-        "seed={} slots={} sites={} policy={} battery={} discharge={:?} forecast={:?} wan={} failures={} streams={} site_par={} tiering={} admission={} feed={}",
+        "seed={} slots={} sites={} policy={} battery={} discharge={:?} forecast={:?} wan={} failures={} streams={} tiering={} admission={} feed={}",
         cfg.seed,
         cfg.slots,
         cfg.n_sites(),
@@ -199,17 +212,29 @@ pub fn describe(cfg: &ExperimentConfig) -> String {
         cfg.wan_cost_per_unit,
         cfg.failures.is_some(),
         cfg.workload.interactive.streams,
-        cfg.site_parallel,
         tiering,
         admission,
-        cfg.feed_arrivals,
+        case.feed,
     )
 }
 
-/// Run one configuration under the conservation auditor: per-slot
-/// observer checks plus the post-run deep audit, then the normal report.
-pub fn run_audited(cfg: &ExperimentConfig) -> (RunReport, AuditReport) {
-    let sim = Simulation::builder(cfg).build().unwrap_or_else(|e| panic!("{e}"));
+/// A simulation builder for `case`, with a replay feed attached when the
+/// case drew one. Every build gets a feed that starts at slot 0; a resumed
+/// build drops the arrivals it delivers a second time.
+fn builder(case: &FuzzCase) -> SimulationBuilder<'_, 'static> {
+    let builder = Simulation::builder(&case.cfg);
+    if !case.feed {
+        return builder;
+    }
+    let world = World::try_materialize(&case.cfg).unwrap_or_else(|e| panic!("{e}"));
+    let feed = EventFeed::replay(&world.workload, case.cfg.clock, case.cfg.slots);
+    builder.world(world).feed(feed)
+}
+
+/// Run one case under the conservation auditor: per-slot observer checks
+/// plus the post-run deep audit, then the normal report.
+pub fn run_audited(case: &FuzzCase) -> (RunReport, AuditReport) {
+    let sim = builder(case).build().unwrap_or_else(|e| panic!("{e}"));
     let (sim, audit) = sim.run_audited();
     (sim.into_report(), audit)
 }
@@ -251,26 +276,26 @@ pub struct SplitRun {
     pub resumed_audit: AuditReport,
 }
 
-/// Replay `cfg` split at `fork_slot`: simulate a prefix, checkpoint it
+/// Replay `case` split at `fork_slot`: simulate a prefix, checkpoint it
 /// through the serialized form, restore, and finish under the auditor.
 /// The snapshot contract says the interruption must be invisible —
 /// `stitched_trace == cold_trace` byte for byte and the reports equal —
 /// which the fuzz harness asserts across the whole configuration space.
-pub fn run_split(cfg: &ExperimentConfig, fork_slot: usize) -> SplitRun {
+pub fn run_split(case: &FuzzCase, fork_slot: usize) -> SplitRun {
     use greenmatch::observe::JsonlTraceObserver;
     use greenmatch::Snapshot;
 
-    assert!(fork_slot <= cfg.slots, "fork slot beyond the horizon");
+    assert!(fork_slot <= case.cfg.slots, "fork slot beyond the horizon");
 
     let cold_buf = SharedBuf::default();
-    let cold_report = Simulation::builder(cfg)
+    let cold_report = builder(case)
         .observer(Box::new(JsonlTraceObserver::new(cold_buf.clone())))
         .build()
         .unwrap_or_else(|e| panic!("{e}"))
         .run_to_end();
 
     let prefix_buf = SharedBuf::default();
-    let mut sim = Simulation::builder(cfg)
+    let mut sim = builder(case)
         .observer(Box::new(JsonlTraceObserver::new(prefix_buf.clone())))
         .build()
         .unwrap_or_else(|e| panic!("{e}"));
@@ -282,7 +307,7 @@ pub fn run_split(cfg: &ExperimentConfig, fork_slot: usize) -> SplitRun {
     drop(sim);
 
     let tail_buf = SharedBuf::default();
-    let sim = Simulation::builder(cfg)
+    let sim = builder(case)
         .resume_from(&snap)
         .observer(Box::new(JsonlTraceObserver::new(tail_buf.clone())))
         .build()
@@ -309,10 +334,10 @@ mod tests {
     fn generator_is_deterministic_per_case() {
         let mut a = TestRng::for_case("fuzzgen", 7);
         let mut b = TestRng::for_case("fuzzgen", 7);
-        let ca = fuzz_config(&mut a);
-        let cb = fuzz_config(&mut b);
+        let ca = fuzz_case(&mut a);
+        let cb = fuzz_case(&mut b);
         assert_eq!(describe(&ca), describe(&cb));
-        assert_eq!(ca.seed, cb.seed);
+        assert_eq!(ca.cfg.seed, cb.cfg.seed);
     }
 
     #[test]
@@ -321,30 +346,28 @@ mod tests {
         let mut with_battery = 0;
         let mut with_failures = 0;
         let mut respread = 0;
-        let mut sequential = 0;
         let mut tiered = 0;
         let mut big_stripe = 0;
         let mut gated = 0;
         let mut fed = 0;
         for case in 0..64 {
             let mut rng = TestRng::for_case("fuzzgen-cover", case);
-            let cfg = fuzz_config(&mut rng);
+            let case = fuzz_case(&mut rng);
+            let cfg = &case.cfg;
             cfg.validate_sites().expect("generated configs are coherent");
             multi += (cfg.n_sites() > 1) as u32;
             with_battery += cfg.energy.battery.is_some() as u32;
             with_failures += cfg.failures.is_some() as u32;
             respread += (cfg.workload.interactive.streams != 100) as u32;
-            sequential += (!cfg.site_parallel) as u32;
             tiered += cfg.tiering.is_some() as u32;
             big_stripe += cfg.tiering.is_some_and(|t| t.ec_k == 6) as u32;
             gated += cfg.admission.is_some() as u32;
-            fed += cfg.feed_arrivals as u32;
+            fed += case.feed as u32;
         }
         assert!(multi > 10, "multi-site configs must be common ({multi}/64)");
         assert!(with_battery > 20, "battery configs must be common ({with_battery}/64)");
         assert!(with_failures > 5, "failure configs must appear ({with_failures}/64)");
         assert!(respread > 5, "off-preset stream counts must appear ({respread}/64)");
-        assert!(sequential > 5, "sequential-phase configs must appear ({sequential}/64)");
         assert!(tiered > 5, "tiered configs must appear ({tiered}/64)");
         assert!(big_stripe > 0, "both EC geometries must appear ({big_stripe}/64)");
         assert!(gated > 5, "admission-gated configs must appear ({gated}/64)");
@@ -354,20 +377,25 @@ mod tests {
     #[test]
     fn split_replay_is_invisible_on_a_sampled_case() {
         let mut rng = TestRng::for_case("fuzzgen-split", 1);
-        let cfg = fuzz_config(&mut rng);
-        let fork = cfg.slots / 2;
-        let split = run_split(&cfg, fork);
-        assert!(split.resumed_audit.is_clean(), "[{}]: {:?}", describe(&cfg), split.resumed_audit);
-        assert_eq!(split.stitched_trace, split.cold_trace, "[{}]", describe(&cfg));
+        let case = fuzz_case(&mut rng);
+        let fork = case.cfg.slots / 2;
+        let split = run_split(&case, fork);
+        assert!(split.resumed_audit.is_clean(), "[{}]: {:?}", describe(&case), split.resumed_audit);
+        assert_eq!(split.stitched_trace, split.cold_trace, "[{}]", describe(&case));
     }
 
     #[test]
     fn sampled_cases_run_clean_under_the_auditor() {
         for case in 0..6 {
             let mut rng = TestRng::for_case("fuzzgen-smoke", case);
-            let cfg = fuzz_config(&mut rng);
-            let (_, audit) = run_audited(&cfg);
-            assert!(audit.is_clean(), "case {case} [{}]: {:?}", describe(&cfg), audit.violations);
+            let sample = fuzz_case(&mut rng);
+            let (_, audit) = run_audited(&sample);
+            assert!(
+                audit.is_clean(),
+                "case {case} [{}]: {:?}",
+                describe(&sample),
+                audit.violations
+            );
         }
     }
 }

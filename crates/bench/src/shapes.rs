@@ -277,7 +277,8 @@ pub fn run_all(ctx: &ExpContext) -> Vec<ShapeCheck> {
     // 10. Conservation audit: the headline configuration and a mini-fuzz
     //    over random configurations run clean under the per-slot auditor
     //    and the post-run deep audit.
-    let (_, audit) = crate::fuzzgen::run_audited(&medium_cfg(ctx, gm));
+    let headline = crate::fuzzgen::FuzzCase { cfg: medium_cfg(ctx, gm), feed: false };
+    let (_, audit) = crate::fuzzgen::run_audited(&headline);
     checks.push(check(
         "conservation-audit-clean",
         audit.is_clean(),
@@ -288,8 +289,8 @@ pub fn run_all(ctx: &ExpContext) -> Vec<ShapeCheck> {
     let fuzz_cases = 16u32;
     for case in 0..fuzz_cases {
         let mut rng = proptest::test_runner::TestRng::for_case("validate-fuzz", case);
-        let cfg = crate::fuzzgen::fuzz_config(&mut rng);
-        let (_, audit) = crate::fuzzgen::run_audited(&cfg);
+        let sample = crate::fuzzgen::fuzz_case(&mut rng);
+        let (_, audit) = crate::fuzzgen::run_audited(&sample);
         fuzz_violations += audit.total_violations();
         fuzz_slots += audit.slots_audited;
     }

@@ -410,23 +410,6 @@ pub struct ExperimentConfig {
     /// (one unit = [`crate::matcher::UNIT_BYTES`]). 0 = free transfers.
     #[serde(default)]
     pub wan_cost_per_unit: i64,
-    /// Let the matcher warm-start its min-cost-flow network between slots
-    /// (re-pricing only the arcs whose bins changed) instead of rebuilding
-    /// it from scratch every solve. The two paths produce byte-identical
-    /// schedules — this knob exists for A/B timing and fuzzing, not for
-    /// accuracy trade-offs. Defaults to `true`; omitted from archived JSON
-    /// unless disabled.
-    #[serde(default = "default_warm_start", skip_serializing_if = "is_warm_default")]
-    pub matcher_warm_start: bool,
-    /// Run the per-site portions of the Forecast and Execute phases of a
-    /// multi-site slot on the worker pool instead of site-by-site. The two
-    /// paths produce byte-identical traces at any thread count (job bytes
-    /// are assigned in a sequential shadow pass; only the per-site disk
-    /// mechanics fan out) — this knob exists for A/B verification and
-    /// fuzzing, not for accuracy trade-offs. Single-site runs ignore it.
-    /// Defaults to `true`; omitted from archived JSON unless disabled.
-    #[serde(default = "default_warm_start", skip_serializing_if = "is_warm_default")]
-    pub site_parallel: bool,
     /// Temperature-tiered storage: hot/warm/cold classification with
     /// erasure-coded demotion of cold objects, migration bytes scheduled
     /// through the matcher. `None` (the default, omitted from archived
@@ -439,26 +422,6 @@ pub struct ExperimentConfig {
     /// JSON) accepts every arrival and leaves every trace byte-identical.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub admission: Option<AdmissionConfig>,
-    /// Pull batch arrivals from an incremental event feed instead of the
-    /// materialised population cursor. With no external feed attached the
-    /// builder self-attaches a replay feed over the workload, which is
-    /// byte-identical to the cursor walk — this knob exists for service
-    /// mode (`gm-serve`) and for fuzzing the equivalence, not for accuracy
-    /// trade-offs. Defaults to `false`; omitted from archived JSON.
-    #[serde(default, skip_serializing_if = "is_false")]
-    pub feed_arrivals: bool,
-}
-
-fn default_warm_start() -> bool {
-    true
-}
-
-fn is_warm_default(on: &bool) -> bool {
-    *on
-}
-
-fn is_false(on: &bool) -> bool {
-    !*on
 }
 
 impl ExperimentConfig {
@@ -484,11 +447,8 @@ impl ExperimentConfig {
             clock: SlotClock::hourly(),
             sites: Vec::new(),
             wan_cost_per_unit: 0,
-            matcher_warm_start: true,
-            site_parallel: true,
             tiering: None,
             admission: None,
-            feed_arrivals: false,
         }
     }
 
@@ -515,11 +475,8 @@ impl ExperimentConfig {
             clock: SlotClock::hourly(),
             sites: Vec::new(),
             wan_cost_per_unit: 0,
-            matcher_warm_start: true,
-            site_parallel: true,
             tiering: None,
             admission: None,
-            feed_arrivals: false,
         }
     }
 
@@ -617,22 +574,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Enable or disable the matcher's warm-start path (see
-    /// [`Self::matcher_warm_start`]).
-    #[must_use]
-    pub fn with_matcher_warm_start(mut self, on: bool) -> Self {
-        self.matcher_warm_start = on;
-        self
-    }
-
-    /// Enable or disable per-site phase parallelism (see
-    /// [`Self::site_parallel`]).
-    #[must_use]
-    pub fn with_site_parallel(mut self, on: bool) -> Self {
-        self.site_parallel = on;
-        self
-    }
-
     /// Enable (or with `None`, disable) temperature-tiered storage (see
     /// [`Self::tiering`]).
     #[must_use]
@@ -646,14 +587,6 @@ impl ExperimentConfig {
     #[must_use]
     pub fn with_admission(mut self, admission: impl Into<Option<AdmissionConfig>>) -> Self {
         self.admission = admission.into();
-        self
-    }
-
-    /// Pull batch arrivals through an event feed instead of the population
-    /// cursor (see [`Self::feed_arrivals`]).
-    #[must_use]
-    pub fn with_feed_arrivals(mut self, on: bool) -> Self {
-        self.feed_arrivals = on;
         self
     }
 
@@ -819,34 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_knob_defaults_on_and_roundtrips() {
-        let cfg = ExperimentConfig::small_demo(3);
-        assert!(cfg.matcher_warm_start);
-        let json = serde_json::to_string(&cfg).expect("serialises");
-        assert!(!json.contains("matcher_warm_start"), "default stays out of archived JSON");
-        let back: ExperimentConfig = serde_json::from_str(&json).expect("parses");
-        assert!(back.matcher_warm_start, "omitted field deserialises to on");
-        let cold = cfg.with_matcher_warm_start(false);
-        let json = serde_json::to_string(&cold).expect("serialises");
-        let back: ExperimentConfig = serde_json::from_str(&json).expect("parses");
-        assert!(!back.matcher_warm_start);
-    }
-
-    #[test]
-    fn site_parallel_knob_defaults_on_and_roundtrips() {
-        let cfg = ExperimentConfig::small_demo(3);
-        assert!(cfg.site_parallel);
-        let json = serde_json::to_string(&cfg).expect("serialises");
-        assert!(!json.contains("site_parallel"), "default stays out of archived JSON");
-        let back: ExperimentConfig = serde_json::from_str(&json).expect("parses");
-        assert!(back.site_parallel, "omitted field deserialises to on");
-        let seq = cfg.with_site_parallel(false);
-        let json = serde_json::to_string(&seq).expect("serialises");
-        let back: ExperimentConfig = serde_json::from_str(&json).expect("parses");
-        assert!(!back.site_parallel);
-    }
-
-    #[test]
     fn tiering_knob_defaults_off_and_roundtrips() {
         let cfg = ExperimentConfig::small_demo(3);
         assert!(cfg.tiering.is_none());
@@ -865,19 +770,15 @@ mod tests {
     fn admission_knob_defaults_off_and_roundtrips() {
         let cfg = ExperimentConfig::small_demo(3);
         assert!(cfg.admission.is_none());
-        assert!(!cfg.feed_arrivals);
         let json = serde_json::to_string(&cfg).expect("serialises");
         assert!(!json.contains("admission"), "default stays out of archived JSON");
-        assert!(!json.contains("feed_arrivals"), "default stays out of archived JSON");
         let back: ExperimentConfig = serde_json::from_str(&json).expect("parses");
         assert!(back.admission.is_none(), "omitted field deserialises to off");
-        assert!(!back.feed_arrivals);
-        let gated = cfg.with_admission(AdmissionConfig::default()).with_feed_arrivals(true);
+        let gated = cfg.with_admission(AdmissionConfig::default());
         let json = serde_json::to_string(&gated).expect("serialises");
         let back: ExperimentConfig = serde_json::from_str(&json).expect("parses");
         assert_eq!(back.admission, gated.admission);
         assert!((back.admission.unwrap().alpha - 0.9).abs() < 1e-12);
-        assert!(back.feed_arrivals);
     }
 
     #[test]

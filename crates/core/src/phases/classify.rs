@@ -85,8 +85,9 @@ pub(crate) fn run(
     let gated = sim.cfg.admission.is_some();
     for job in scratch.feed_jobs.drain(..) {
         if job.submit < ctx.now {
-            // Parity with the historic in-slot filter (`submit >= start`);
-            // unreachable for a submission-sorted population.
+            // A feed that restarted at slot 0 on a resumed run delivers
+            // the arrivals before the resume slot a second time; the
+            // snapshot already holds them.
             continue;
         }
         if gated {

@@ -6,19 +6,10 @@
 //! simulation — the expectation is a pure function of the absolute slot,
 //! so each slot is computed once per run instead of once per horizon
 //! overlap).
-//!
-//! With `cfg.site_parallel` (the default), a multi-site slot runs the
-//! per-site forecaster predictions as pool tasks — each site's prediction
-//! touches only its own forecaster and target buffer, and results are
-//! reassembled by site index, so the fan-out is byte-identical to the
-//! sequential walk at any thread count.
 
 use super::{SlotContext, SlotScratch};
 use crate::scheduler::DEFAULT_HORIZON;
-use crate::simulation::{Simulation, SiteState};
-use gm_sim::pool::Task;
-use gm_sim::WorkPool;
-use std::sync::{Arc, Mutex};
+use crate::simulation::Simulation;
 
 pub(crate) fn run(sim: &mut Simulation, ctx: &SlotContext, scratch: &mut SlotScratch) {
     for site in &mut sim.sites {
@@ -37,22 +28,14 @@ pub(crate) fn run(sim: &mut Simulation, ctx: &SlotContext, scratch: &mut SlotScr
         scratch.remote_green_forecast_wh.push(Vec::new());
     }
 
-    if n_remote > 0 && sim.cfg.site_parallel {
-        predict_parallel(sim, ctx, scratch);
-    } else {
-        let home = &mut sim.sites[0];
-        home.forecaster.predict_into(ctx.slot, DEFAULT_HORIZON, &mut scratch.green_forecast_wh);
-        for w in &mut scratch.green_forecast_wh {
+    // Home predicts into `green_forecast_wh`; remote site i + 1 into
+    // `remote_green_forecast_wh[i]` (single-site runs have none).
+    let bufs = std::iter::once(&mut scratch.green_forecast_wh)
+        .chain(scratch.remote_green_forecast_wh.iter_mut());
+    for (site, buf) in sim.sites.iter_mut().zip(bufs) {
+        site.forecaster.predict_into(ctx.slot, DEFAULT_HORIZON, buf);
+        for w in buf.iter_mut() {
             *w *= ctx.hours;
-        }
-
-        // Remote sites get the same treatment into their own buffers
-        // (entry i serves site i + 1). Single-site runs never touch these.
-        for (site, buf) in sim.sites[1..].iter_mut().zip(&mut scratch.remote_green_forecast_wh) {
-            site.forecaster.predict_into(ctx.slot, DEFAULT_HORIZON, buf);
-            for w in buf.iter_mut() {
-                *w *= ctx.hours;
-            }
         }
     }
 
@@ -85,50 +68,5 @@ pub(crate) fn run(sim: &mut Simulation, ctx: &SlotContext, scratch: &mut SlotScr
     for k in 0..DEFAULT_HORIZON {
         let busy = sim.expected_busy_secs(ctx.slot + k);
         scratch.interactive_busy_secs.push(busy);
-    }
-}
-
-/// One site's prediction task result: the site handed back with its
-/// filled forecast buffer.
-type PredictResult = (SiteState, Vec<f64>);
-
-/// Fan the per-site predictions across the pool: each task owns its
-/// [`SiteState`] and target buffer (home's is `green_forecast_wh`, site
-/// `i + 1`'s is `remote_green_forecast_wh[i]`), reassembled by index.
-fn predict_parallel(sim: &mut Simulation, ctx: &SlotContext, scratch: &mut SlotScratch) {
-    let slot = ctx.slot;
-    let hours = ctx.hours;
-    let sites = std::mem::take(&mut sim.sites);
-    let n = sites.len();
-    let cells: Arc<Vec<Mutex<Option<PredictResult>>>> =
-        Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-    let tasks: Vec<Task> = sites
-        .into_iter()
-        .enumerate()
-        .map(|(i, mut site)| {
-            let mut buf = if i == 0 {
-                std::mem::take(&mut scratch.green_forecast_wh)
-            } else {
-                std::mem::take(&mut scratch.remote_green_forecast_wh[i - 1])
-            };
-            let cells = Arc::clone(&cells);
-            Box::new(move || {
-                site.forecaster.predict_into(slot, DEFAULT_HORIZON, &mut buf);
-                for w in &mut buf {
-                    *w *= hours;
-                }
-                *cells[i].lock().expect("forecast cell") = Some((site, buf));
-            }) as Task
-        })
-        .collect();
-    WorkPool::global().scatter(tasks);
-    for (i, cell) in cells.iter().enumerate() {
-        let (site, buf) = cell.lock().expect("forecast cell").take().expect("forecast task result");
-        sim.sites.push(site);
-        if i == 0 {
-            scratch.green_forecast_wh = buf;
-        } else {
-            scratch.remote_green_forecast_wh[i - 1] = buf;
-        }
     }
 }

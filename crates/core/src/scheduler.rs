@@ -40,8 +40,8 @@ pub struct GreenMatchPolicy {
     /// intensity instead of uniformly, steering unavoidable brown work into
     /// the cleanest hours of the window.
     carbon_aware: bool,
-    /// The stateful matcher handle: flow network, work vectors and
-    /// warm-start state, retained across slots.
+    /// The stateful matcher handle: flow network, work vectors and the
+    /// previous round's memo, retained across slots.
     matcher: Matcher,
     // Per-slot work buffers, reused across decisions so the steady-state
     // decide path allocates only the Decision it returns.
@@ -98,7 +98,7 @@ impl GreenMatchPolicy {
         is_deferrable_at(self.delay_fraction, id)
     }
 
-    /// The policy's matcher handle (diagnostics: warm/cold solve counts).
+    /// The policy's matcher handle (diagnostics: cold/memo solve counts).
     pub fn matcher(&self) -> &Matcher {
         &self.matcher
     }
@@ -273,10 +273,6 @@ impl Scheduler for GreenMatchPolicy {
 
     fn matcher_residual_units(&self) -> i64 {
         self.last_unaccounted_units
-    }
-
-    fn set_warm_start(&mut self, on: bool) {
-        self.matcher.set_warm_start(on);
     }
 }
 

@@ -313,9 +313,9 @@ impl<'c, 's> SimulationBuilder<'c, 's> {
     /// delivered, so a slow producer delays the simulated clock rather
     /// than dropping work. A feed replayed from the config's own workload
     /// produces a byte-identical run to the batch cursor; see
-    /// [`gm_workload::EventFeed::replay`]. Implies what
-    /// [`crate::config::ExperimentConfig::with_feed_arrivals`] would have
-    /// set up, but with the caller's feed instead of a self-replay.
+    /// [`gm_workload::EventFeed::replay`]. A resumed build may attach a
+    /// feed that restarts at slot 0: Classify drops every re-delivered
+    /// arrival submitted before the resume slot.
     pub fn feed(mut self, feed: EventFeed) -> Self {
         self.feed = Some(feed);
         self
@@ -363,16 +363,7 @@ impl<'c, 's> SimulationBuilder<'c, 's> {
             None => Scratch::Owned(Box::new(SlotScratch::new())),
         };
         let mut sim = Simulation::assemble(self.cfg, world, scratch);
-        sim.feed = match self.feed {
-            Some(feed) => Some(feed),
-            // Self-driving service mode: replay the materialised workload
-            // through a pre-loaded feed. Exercises the exact feed path
-            // (and is pinned byte-identical to the cursor walk).
-            None if self.cfg.feed_arrivals => {
-                Some(EventFeed::replay(&sim.workload, sim.clock, sim.slots))
-            }
-            None => None,
-        };
+        sim.feed = self.feed;
         if let Some(snap) = self.resume {
             sim.restore_overlay(snap)?;
         }
@@ -543,8 +534,7 @@ impl<'s> Simulation<'s> {
             });
         }
 
-        let mut policy = cfg.policy.build();
-        policy.set_warm_start(cfg.matcher_warm_start);
+        let policy = cfg.policy.build();
         let home_model = sites[0].model;
 
         let positioning_s =
@@ -640,8 +630,8 @@ impl<'s> Simulation<'s> {
     /// snapshot holds everything accumulated since slot 0; the world and
     /// the policy/matcher are *not* captured — the world is referenced by
     /// its cache keys and re-materialised on resume, and the policy is
-    /// rebuilt cold from config (byte-exact: the matcher's warm-start
-    /// network provably reproduces cold solves). Restore with
+    /// rebuilt cold from config (byte-exact: the matcher's memo replay
+    /// reproduces cold solves). Restore with
     /// [`SimulationBuilder::resume_from`].
     pub fn snapshot(&self) -> Snapshot {
         let mut repair_jobs: Vec<(u64, usize)> =
@@ -790,19 +780,6 @@ impl<'s> Simulation<'s> {
         self.admission_deferred = snap.admission_deferred;
         self.admission_rejected = snap.admission_rejected;
         self.admission_rejected_bytes = snap.admission_rejected_bytes;
-        // Service mode: a feed restarts from slot 0 on every build, but
-        // everything submitted before the resume cursor is already in the
-        // snapshot — discard it. Only the self-driving replay feed is
-        // fast-forwarded here (it is fully pre-loaded, so this never
-        // blocks); resuming across an *external* feed is the driver's
-        // contract to honour.
-        if snap.cursor > 0 && self.cfg.feed_arrivals {
-            if let Some(feed) = self.feed.as_mut() {
-                let last = snap.cursor - 1;
-                let mut consumed = Vec::new();
-                feed.take_arrivals_before(last, self.clock.slot_end(last), &mut consumed);
-            }
-        }
         self.cursor = snap.cursor;
         Ok(())
     }

@@ -11,8 +11,8 @@
 //!   the latency histogram, repair tables, and the slot cursor.
 //! * **Rebuilt on restore**: the world (workload, traces, layouts — the
 //!   snapshot stores their cache *keys*, never the components), the
-//!   policy and its matcher network (rebuilt cold; the PR 6 warm==cold
-//!   equivalence makes this byte-exact), the failure dice (pure function
+//!   policy and its matcher network (rebuilt cold; a memo-replayed round
+//!   equals a cold solve, so this is byte-exact), the failure dice (pure function
 //!   of the seed), planning constants, and acceleration memos (busy-time
 //!   memo, disk→object reverse index, histogram bucket memo).
 //!

@@ -161,12 +161,14 @@ proptest! {
         prop_assert!(run(wh + 500.0) >= run(wh), "more green never reduces green placement");
     }
 
-    /// Satellite: perturb the per-slot bins (forecast green, busy-seconds,
-    /// carbon prices) between rounds and assert the warm-started handle's
-    /// re-priced solve is indistinguishable from a cold solve of the same
-    /// input — stats AND the full per-site schedule.
+    /// Gate: one matcher handle retained across rounds (memo replay or
+    /// cold rebuild, as its bins dictate) is indistinguishable from a
+    /// fresh handle solving each round alone — stats AND the full
+    /// per-site schedule. Rounds perturb the per-slot bins (forecast
+    /// green, busy-seconds, carbon prices, group supplies) and some repeat
+    /// verbatim, so both tiers are exercised.
     #[test]
-    fn warm_repriced_solve_matches_cold_solve(
+    fn retained_matcher_matches_fresh_matcher(
         jobs in proptest::collection::vec((1u64..64, 0usize..20), 1..12),
         rounds in proptest::collection::vec(
             (
@@ -174,6 +176,7 @@ proptest! {
                 proptest::collection::vec(0.0f64..6_000.0, 8..9),
                 0i64..400,
                 0u8..2,
+                0u64..3,
             ),
             1..8,
         ),
@@ -189,8 +192,10 @@ proptest! {
                 critical: false,
             })
             .collect();
-        let mut warm = Matcher::new();
-        for (round, (green, busy, carbon_base, shrink)) in rounds.iter().enumerate() {
+        let mut retained = Matcher::new();
+        let mut solves = 0u64;
+        let mut repeats_total = 0u64;
+        for (round, (green, busy, carbon_base, shrink, repeats)) in rounds.iter().enumerate() {
             if *shrink == 1 && views.len() > 1 {
                 views.pop(); // group supplies drift between slots too
             }
@@ -205,19 +210,26 @@ proptest! {
                 slot_secs: 3600.0,
                 brown_cost_per_slot: Some(&carbon),
             };
-            let warm_stats = warm.solve(&input);
-            let mut cold = Matcher::new();
-            cold.set_warm_start(false);
-            let cold_stats = cold.solve(&input);
-            prop_assert_eq!(warm_stats, cold_stats, "round {}: stats diverge", round);
-            prop_assert_eq!(
-                warm.per_site_slot_bytes(),
-                cold.per_site_slot_bytes(),
-                "round {}: schedules diverge",
-                round
-            );
+            // The first solve of a round, then `repeats` identical ones.
+            for _ in 0..=*repeats {
+                let retained_stats = retained.solve(&input);
+                let mut fresh = Matcher::new();
+                let fresh_stats = fresh.solve(&input);
+                prop_assert_eq!(retained_stats, fresh_stats, "round {}: stats diverge", round);
+                prop_assert_eq!(
+                    retained.per_site_slot_bytes(),
+                    fresh.per_site_slot_bytes(),
+                    "round {}: schedules diverge",
+                    round
+                );
+            }
+            solves += 1 + repeats;
+            repeats_total += repeats;
         }
-        prop_assert_eq!(warm.solve_counts().cold, 1, "warm handle must rebuild only once");
+        let counts = retained.solve_counts();
+        prop_assert_eq!(counts.cold + counts.memo, solves, "every round is cold or memo");
+        prop_assert!(counts.memo >= repeats_total, "identical rounds replay: {:?}", counts);
+        prop_assert!(counts.cold >= 1, "the first round rebuilds: {:?}", counts);
     }
 
     #[test]

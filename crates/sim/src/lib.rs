@@ -13,16 +13,13 @@
 //! * [`time`] — integer microsecond [`time::SimTime`] / [`time::SimDuration`]
 //!   and the slotted [`time::SlotClock`]. Integer time makes every run
 //!   bit-for-bit reproducible.
-//! * [`event`] — a generic deterministic event queue with FIFO tie-breaking.
-//! * [`engine`] — a small driver that pumps an [`event::EventQueue`] into a
-//!   model callback.
 //! * [`rng`] — named, independently-seeded RNG streams so adding a new
 //!   consumer of randomness never perturbs existing ones.
 //! * [`dist`] — the probability distributions the workload and energy models
 //!   need (exponential, Poisson, Weibull, lognormal, Zipf, AR(1)), written
 //!   against [`rand::Rng`] so no extra dependency is required.
 //! * [`pool`] — a process-wide helping work pool for deterministic
-//!   fan-out (sharded synthesis, per-site phases, sweep runs); safe to
+//!   fan-out (sharded synthesis, sweep runs); safe to
 //!   nest at any width because submitters help drain their own batches.
 //! * [`series`] — fixed-width slot time series with integration helpers
 //!   (power ⇒ energy bookkeeping).
@@ -35,8 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod dist;
-pub mod engine;
-pub mod event;
 pub mod hist;
 pub mod pool;
 pub mod rng;
@@ -44,8 +39,6 @@ pub mod series;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Engine, Model};
-pub use event::EventQueue;
 pub use hist::LogHistogram;
 pub use pool::WorkPool;
 pub use rng::RngFactory;

@@ -1,8 +1,8 @@
 //! A process-wide helping work pool for deterministic fan-out.
 //!
 //! Several layers want to fan independent units of work across cores —
-//! sharded request synthesis in `gm-workload`, per-site phase execution in
-//! `gm-core`, whole simulation runs in `gm-bench` — and they nest: a sweep
+//! sharded request synthesis in `gm-workload` and whole simulation runs in
+//! `gm-bench` — and they nest: a sweep
 //! running on a pool worker spawns per-slot shard batches of its own.
 //! [`WorkPool`] serves all of them with one set of long-lived threads and
 //! one rule that makes nesting safe at **any** width (including 1): the
@@ -15,8 +15,7 @@
 //! Determinism is the caller's contract, not the pool's: tasks must write
 //! disjoint result slots and the caller must combine them by index, never
 //! by completion order. Everything built on this pool (shard-invariant
-//! synthesis, per-site phase fan-out) is byte-identical at any width for
-//! that reason.
+//! synthesis, sweep runs) is byte-identical at any width for that reason.
 //!
 //! A task panic is caught on whichever thread ran it, carried into the
 //! batch, and re-raised on the submitting thread after the whole batch has

@@ -12,8 +12,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test --workspace -q
 
-echo "==> warm-start byte-identity gate (warm vs cold traces)"
-cargo test -q --test telemetry warm_start
+echo "==> matcher memo gate (retained handle == fresh handle, exactly one test)"
+cargo test -q -p greenmatch --test properties retained_matcher_matches_fresh_matcher \
+  2>&1 | tee target/matcher-gate.txt
+grep -q "test result: ok. 1 passed" target/matcher-gate.txt
 
 echo "==> snapshot/resume byte-identity gate (branch vs cold)"
 cargo test -q --test snapshot
@@ -35,6 +37,9 @@ cargo bench -p gm-bench --bench mega -- --test
 
 echo "==> cargo bench --bench sweep -- --test (smoke)"
 cargo bench -p gm-bench --bench sweep -- --test
+
+echo "==> cargo bench --bench branch -- --test (smoke)"
+cargo bench -p gm-bench --bench branch -- --test
 
 echo "==> audited e2e smoke (run_once --audit)"
 cargo run --release -q -p gm-bench --bin run_once -- \

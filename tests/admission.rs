@@ -8,10 +8,12 @@
 //! * snapshot/resume — a gated run checkpointed mid-week resumes
 //!   byte-identically, held jobs and gate counters included.
 
+use gm_workload::EventFeed;
 use greenmatch::config::{AdmissionConfig, ExperimentConfig, ForecastKind};
 use greenmatch::harness::run_experiment;
 use greenmatch::policy::PolicyKind;
-use greenmatch::simulation::Simulation;
+use greenmatch::simulation::{Simulation, SimulationBuilder};
+use greenmatch::world::World;
 
 fn base_cfg(seed: u64) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::small_demo(seed);
@@ -25,10 +27,19 @@ fn gated_cfg(seed: u64, alpha: f64) -> ExperimentConfig {
         .with_admission(AdmissionConfig { alpha, defer_slots: 4 })
 }
 
+/// A builder for `cfg` whose batch arrivals come from an external replay
+/// feed of its own workload, starting at slot 0.
+fn replay_fed(cfg: &ExperimentConfig) -> SimulationBuilder<'_, 'static> {
+    let world = World::try_materialize(cfg).expect("world");
+    let feed = EventFeed::replay(&world.workload, cfg.clock, cfg.slots);
+    Simulation::builder(cfg).world(world).feed(feed)
+}
+
 #[test]
 fn feed_replay_is_byte_identical_to_batch() {
-    let batch = run_experiment(&base_cfg(42));
-    let fed = run_experiment(&base_cfg(42).with_feed_arrivals(true));
+    let cfg = base_cfg(42);
+    let batch = run_experiment(&cfg);
+    let fed = replay_fed(&cfg).build().expect("config materialises").run_to_end();
     assert_eq!(
         serde_json::to_string(&batch).unwrap(),
         serde_json::to_string(&fed).unwrap(),
@@ -40,14 +51,14 @@ fn feed_replay_is_byte_identical_to_batch() {
 fn feed_replay_is_byte_identical_under_admission_too() {
     let cfg = gated_cfg(7, 0.9);
     let batch = run_experiment(&cfg);
-    let fed = run_experiment(&cfg.clone().with_feed_arrivals(true));
+    let fed = replay_fed(&cfg).build().expect("config materialises").run_to_end();
     assert_eq!(serde_json::to_string(&batch).unwrap(), serde_json::to_string(&fed).unwrap(),);
 }
 
 #[test]
 fn external_feed_drives_the_run_identically() {
-    // Hand-drive a feed from the workload instead of using the built-in
-    // replay: the builder path external drivers (gm-serve) use.
+    // Hand-drive a feed slot by slot instead of pre-loading it with
+    // `EventFeed::replay`: the path external drivers (gm-serve) use.
     let cfg = base_cfg(11);
     let batch = run_experiment(&cfg);
 
@@ -134,18 +145,17 @@ fn gated_snapshot_resumes_byte_identically() {
 
 #[test]
 fn feed_mode_snapshot_resumes_byte_identically() {
-    let cfg = gated_cfg(17, 0.8).with_feed_arrivals(true);
-    let mut sim = Simulation::builder(&cfg).build().expect("config materialises");
+    // Both builds get a fresh feed that restarts at slot 0, as a service
+    // driver's would; the resumed run must drop the re-delivered prefix.
+    let cfg = gated_cfg(17, 0.8);
+    let mut sim = replay_fed(&cfg).build().expect("config materialises");
     for _ in 0..48 {
         sim.step().expect("prefix shorter than the run");
     }
     let snap = sim.snapshot();
     drop(sim);
-    let resumed = Simulation::builder(&cfg)
-        .resume_from(&snap)
-        .build()
-        .expect("snapshot restores")
-        .run_to_end();
+    let resumed =
+        replay_fed(&cfg).resume_from(&snap).build().expect("snapshot restores").run_to_end();
     let cold = run_experiment(&cfg);
     assert_eq!(serde_json::to_string(&resumed).unwrap(), serde_json::to_string(&cold).unwrap(),);
 }

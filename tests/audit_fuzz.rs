@@ -19,13 +19,13 @@ proptest! {
     #[test]
     fn random_configs_run_clean_under_the_auditor(case in 0u32..10_000) {
         let mut rng = TestRng::for_case("audit-fuzz", case);
-        let cfg = fuzzgen::fuzz_config(&mut rng);
-        let (report, audit) = fuzzgen::run_audited(&cfg);
+        let sample = fuzzgen::fuzz_case(&mut rng);
+        let (report, audit) = fuzzgen::run_audited(&sample);
 
         prop_assert!(
             audit.is_clean(),
             "case {case} [{}]: {}\n{}",
-            fuzzgen::describe(&cfg),
+            fuzzgen::describe(&sample),
             audit.summary(),
             audit
                 .violations
@@ -35,7 +35,7 @@ proptest! {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-        prop_assert_eq!(audit.slots_audited, cfg.slots);
+        prop_assert_eq!(audit.slots_audited, sample.cfg.slots);
 
         // The audited run still produces a sane report.
         prop_assert!(report.load_kwh >= 0.0);
@@ -54,14 +54,14 @@ proptest! {
         // the stitched trace matches the cold trace byte for byte, the
         // reports are equal, and the resumed half conserves energy.
         let mut rng = TestRng::for_case("resume-fuzz", case);
-        let cfg = fuzzgen::fuzz_config(&mut rng);
-        let fork = (rng.next_u64() % (cfg.slots as u64 + 1)) as usize;
-        let split = fuzzgen::run_split(&cfg, fork);
+        let sample = fuzzgen::fuzz_case(&mut rng);
+        let fork = (rng.next_u64() % (sample.cfg.slots as u64 + 1)) as usize;
+        let split = fuzzgen::run_split(&sample, fork);
 
         prop_assert!(
             split.resumed_audit.is_clean(),
             "case {case} fork {fork} [{}]: {}\n{}",
-            fuzzgen::describe(&cfg),
+            fuzzgen::describe(&sample),
             split.resumed_audit.summary(),
             split
                 .resumed_audit
@@ -72,14 +72,14 @@ proptest! {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-        prop_assert_eq!(split.resumed_audit.slots_audited, cfg.slots - fork);
+        prop_assert_eq!(split.resumed_audit.slots_audited, sample.cfg.slots - fork);
         prop_assert_eq!(
             String::from_utf8_lossy(&split.stitched_trace),
             String::from_utf8_lossy(&split.cold_trace),
             "case {} fork {} [{}]: resumed trace diverged",
             case,
             fork,
-            fuzzgen::describe(&cfg)
+            fuzzgen::describe(&sample)
         );
         prop_assert_eq!(
             serde_json::to_string(&split.resumed_report).unwrap(),
@@ -87,7 +87,7 @@ proptest! {
             "case {} fork {} [{}]: resumed report diverged",
             case,
             fork,
-            fuzzgen::describe(&cfg)
+            fuzzgen::describe(&sample)
         );
     }
 }

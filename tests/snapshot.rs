@@ -348,3 +348,60 @@ fn snapshot_save_load_round_trips_on_disk() {
     assert_eq!(loaded.to_json(), snap.to_json(), "disk round-trip must be lossless");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Insert `keys` (comma-separated `"key":value` pairs) as the first
+/// members of the JSON object that starts at the first `{` at or after
+/// byte `from`.
+fn inject_keys(json: &str, from: usize, keys: &str) -> String {
+    let open = from + json[from..].find('{').expect("an object follows") + 1;
+    format!("{}{keys},{}", &json[..open], &json[open..])
+}
+
+#[test]
+fn archived_json_with_retired_knob_keys_loads_and_runs_identically() {
+    // Configs and checkpoints written while the matcher warm-start,
+    // per-site fan-out and self-replay feed switches existed may carry
+    // their keys. Unknown keys are ignored on load, and the run is the
+    // default run byte for byte.
+    let base = ExperimentConfig::small_demo(7)
+        .with_slots(48)
+        .with_policy(PolicyKind::GreenMatch { delay_fraction: 1.0 });
+    let mut sites = base.site_configs();
+    let mut east = sites[0].clone();
+    east.name = "east".into();
+    east.utc_offset_hours = 8;
+    sites.push(east);
+    let cfg = base.with_sites(sites).with_wan_cost(200);
+    let cfg_json = serde_json::to_string(&cfg).unwrap();
+    let (cold_trace, cold_report) = cold_run(&cfg);
+    let cold_report = serde_json::to_string(&cold_report).unwrap();
+
+    let retired =
+        [r#""matcher_warm_start":false"#, r#""site_parallel":false"#, r#""feed_arrivals":true"#];
+    let all = retired.join(",");
+    for keys in retired.iter().copied().chain([all.as_str()]) {
+        let archived = inject_keys(&cfg_json, 0, keys);
+        let old: ExperimentConfig = serde_json::from_str(&archived)
+            .unwrap_or_else(|e| panic!("{keys}: archived config must load: {e}"));
+        assert_eq!(serde_json::to_string(&old).unwrap(), cfg_json, "{keys}: key is dropped");
+    }
+    let old: ExperimentConfig = serde_json::from_str(&inject_keys(&cfg_json, 0, &all)).unwrap();
+    let (trace, report) = cold_run(&old);
+    assert_eq!(trace, cold_trace, "archived config's trace diverged");
+    assert_eq!(serde_json::to_string(&report).unwrap(), cold_report);
+
+    let snap_json = snapshot_at(&cfg, 20).to_json();
+    let cfg_at = snap_json.find("\"cfg\"").expect("snapshot embeds its config");
+    let archived = inject_keys(&snap_json, cfg_at, &all);
+    let snap = Snapshot::from_json(&archived).expect("archived snapshot must load");
+    assert_eq!(snap.to_json(), snap_json, "retired keys are dropped on load");
+    let buf = SharedBuf::default();
+    let resumed = Simulation::builder(&snap.cfg)
+        .resume_from(&snap)
+        .observer(Box::new(JsonlTraceObserver::new(buf.clone())))
+        .build()
+        .expect("archived snapshot restores")
+        .run_to_end();
+    assert_eq!(buf.contents(), trace_suffix(&cold_trace, 20), "resumed trace diverged");
+    assert_eq!(serde_json::to_string(&resumed).unwrap(), cold_report);
+}

@@ -144,56 +144,6 @@ fn one_site_config_traces_match_flat_config_for_every_policy() {
 }
 
 #[test]
-fn warm_start_traces_match_cold_for_every_policy() {
-    use greenmatch::policy::PolicyKind;
-
-    // The incremental matcher's warm-start path (retained flow network,
-    // re-priced arcs) must be *byte-identical* to rebuilding the network
-    // from scratch every slot, for every policy — warm-starting is a pure
-    // performance knob, never a schedule change.
-    let policies = [
-        PolicyKind::AllOn,
-        PolicyKind::PowerProportional,
-        PolicyKind::Edf,
-        PolicyKind::GreedyGreen,
-        PolicyKind::GreenMatch { delay_fraction: 1.0 },
-        PolicyKind::GreenMatch { delay_fraction: 0.3 },
-        PolicyKind::GreenMatchWindow { delay_fraction: 1.0, horizon: 12 },
-        PolicyKind::GreenMatchCarbon { delay_fraction: 1.0 },
-    ];
-    for policy in policies {
-        let warm = ExperimentConfig::small_demo(7).with_slots(48).with_policy(policy);
-        let cold = warm.clone().with_matcher_warm_start(false);
-        let a = trace_bytes(&warm);
-        let b = trace_bytes(&cold);
-        assert!(!a.is_empty(), "{policy:?}: trace should contain records");
-        assert_eq!(a, b, "{policy:?}: warm-started matcher diverged from cold rebuilds");
-    }
-}
-
-#[test]
-fn warm_start_traces_match_cold_multi_site() {
-    use greenmatch::policy::PolicyKind;
-
-    // Same byte-identity contract on the multi-site path, where the
-    // retained network spans site×slot bins and WAN-priced arcs.
-    let base = ExperimentConfig::small_demo(7)
-        .with_slots(48)
-        .with_policy(PolicyKind::GreenMatch { delay_fraction: 1.0 });
-    let mut sites = base.site_configs();
-    let mut east = sites[0].clone();
-    east.name = "east".into();
-    east.utc_offset_hours = 8;
-    sites.push(east);
-    let warm = base.with_sites(sites).with_wan_cost(200);
-    let cold = warm.clone().with_matcher_warm_start(false);
-    let a = trace_bytes(&warm);
-    let b = trace_bytes(&cold);
-    assert!(!a.is_empty(), "trace should contain records");
-    assert_eq!(a, b, "multi-site warm-started matcher diverged from cold rebuilds");
-}
-
-#[test]
 fn multi_site_traces_are_deterministic() {
     use greenmatch::policy::PolicyKind;
 
