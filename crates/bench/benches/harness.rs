@@ -4,8 +4,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use greenmatch::config::ExperimentConfig;
-use greenmatch::harness::run_experiment;
 use greenmatch::policy::PolicyKind;
+use greenmatch::simulation::Simulation;
 
 fn bench_harness(c: &mut Criterion) {
     let mut group = c.benchmark_group("harness_day");
@@ -20,7 +20,8 @@ fn bench_harness(c: &mut Criterion) {
                 let mut cfg = ExperimentConfig::small_demo(42);
                 cfg.slots = 24;
                 cfg.policy = policy;
-                black_box(run_experiment(&cfg).brown_kwh)
+                let sim = Simulation::builder(&cfg).build().expect("config materialises");
+                black_box(sim.run_to_end().brown_kwh)
             })
         });
     }

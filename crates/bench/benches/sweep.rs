@@ -32,7 +32,7 @@ fn bench_materialization(c: &mut Criterion) {
     cache.get_or_materialize(&cfg).expect("prime the cache");
     group.bench_function("warm", |b| {
         b.iter(|| {
-            let world = World::try_materialize_in(black_box(&cfg), &cache).expect("cached");
+            let world = cache.get_or_materialize(black_box(&cfg)).expect("cached");
             black_box(world.workload.batch_jobs().len())
         })
     });

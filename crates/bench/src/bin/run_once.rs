@@ -52,6 +52,14 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// Report unusable input (an unreadable or malformed config, a trace or
+/// CSV file that cannot be opened, a config the builder rejects) and exit
+/// 2.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
 fn parse_policy(name: &str) -> PolicyKind {
     match name {
         "all-on" => PolicyKind::AllOn,
@@ -92,10 +100,10 @@ fn main() {
             "--config" => {
                 let path = args.next().unwrap_or_else(|| usage());
                 let json = std::fs::read_to_string(&path)
-                    .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+                    .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
                 cfg = Some(
                     serde_json::from_str(&json)
-                        .unwrap_or_else(|e| panic!("bad config {path}: {e}")),
+                        .unwrap_or_else(|e| fail(format!("bad config {path}: {e}"))),
                 );
             }
             "--preset" => {
@@ -135,10 +143,7 @@ fn main() {
     // A resumed run defaults to the checkpoint's own config; explicit
     // --config/--preset (plus the overrides below) branch it instead.
     let snapshot = resume.as_ref().map(|path| {
-        greenmatch::Snapshot::load(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2)
-        })
+        greenmatch::Snapshot::load(std::path::Path::new(path)).unwrap_or_else(|e| fail(e))
     });
     if cfg.is_none() {
         if let Some(snap) = &snapshot {
@@ -166,12 +171,12 @@ fn main() {
             &workload,
             cfg.clock,
             cfg.slots,
-            cfg.cluster.disk.transfer_bps,
+            cfg.sites[0].cluster.disk.transfer_bps,
         );
         let demand = gm_workload::stats::batch_demand_ratio(
             &workload,
-            cfg.cluster.topology.n_disks(),
-            cfg.cluster.disk.transfer_bps,
+            cfg.sites[0].cluster.topology.n_disks(),
+            cfg.sites[0].cluster.disk.transfer_bps,
             SimDuration(cfg.clock.width().0 * cfg.slots as u64),
         );
         println!("workload characterisation (seed {}):", cfg.seed);
@@ -208,7 +213,7 @@ fn main() {
         } else {
             JsonlTraceObserver::create(path)
         }
-        .unwrap_or_else(|e| panic!("cannot open trace file {path}: {e}"));
+        .unwrap_or_else(|e| fail(format!("cannot open trace file {path}: {e}")));
         builder = builder.observer(Box::new(obs));
     }
     if let Some(path) = &csv {
@@ -217,7 +222,7 @@ fn main() {
         } else {
             CsvSeriesObserver::create(path)
         }
-        .unwrap_or_else(|e| panic!("cannot open csv file {path}: {e}"));
+        .unwrap_or_else(|e| fail(format!("cannot open csv file {path}: {e}")));
         builder = builder.observer(Box::new(obs));
     }
     let mut profile_handle = None;
@@ -235,7 +240,7 @@ fn main() {
         audit_handle = Some(handle);
     }
 
-    let mut sim = builder.build().unwrap_or_else(|e| panic!("{e}"));
+    let mut sim = builder.build().unwrap_or_else(|e| fail(e));
     if let Some(snap) = &snapshot {
         eprintln!("resumed at slot {} of {}", snap.cursor, cfg.slots);
     }

@@ -46,6 +46,12 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// Report a configuration the builder rejects (say `--slots 0`) and exit 2.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
 /// Latency summary of the per-slot decision loop.
 #[derive(Serialize)]
 struct DecisionLatency {
@@ -149,7 +155,7 @@ fn main() {
     // Materialise the world once; the producer thread walks the same
     // workload the simulation was built over, so the feed offers exactly
     // the batch population, slot by slot.
-    let world = greenmatch::world::World::try_materialize(&cfg).unwrap_or_else(|e| panic!("{e}"));
+    let world = greenmatch::world::World::try_materialize(&cfg).unwrap_or_else(|e| fail(e));
     let workload = world.workload.clone();
     let jobs_offered = workload.batch_jobs().len() as u64;
 
@@ -172,7 +178,7 @@ fn main() {
         builder = builder.observer(Box::new(auditor));
         audit_handle = Some(handle);
     }
-    let mut sim = builder.build().unwrap_or_else(|e| panic!("{e}"));
+    let mut sim = builder.build().unwrap_or_else(|e| fail(e));
 
     eprintln!(
         "serving {} slots of the {} preset ({} policy, {} forecast, gate {})...",
@@ -248,7 +254,7 @@ fn main() {
     if verify {
         // The service seam's core contract: a fed run equals the batch
         // replay of the same scenario byte for byte.
-        let batch = greenmatch::harness::run_experiment(&cfg);
+        let batch = Simulation::builder(&cfg).build().unwrap_or_else(|e| fail(e)).run_to_end();
         let a = serde_json::to_string(&report).expect("report serialises");
         let b = serde_json::to_string(&batch).expect("report serialises");
         if a == b {

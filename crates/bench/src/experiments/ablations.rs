@@ -26,7 +26,7 @@ pub fn matcher_window(ctx: &ExpContext) -> String {
                 ctx,
                 PolicyKind::GreenMatchWindow { delay_fraction: 1.0, horizon: h },
             );
-            cfg.energy.forecast = greenmatch::config::ForecastKind::Persistence;
+            cfg.sites[0].forecast = greenmatch::config::ForecastKind::Persistence;
             (format!("H{h}"), cfg)
         })
         .collect();
@@ -63,7 +63,7 @@ pub fn layout(ctx: &ExpContext) -> String {
         .iter()
         .map(|(name, kind)| {
             let mut cfg = medium_cfg(ctx, PolicyKind::GreenMatch { delay_fraction: 1.0 });
-            cfg.cluster.layout = *kind;
+            cfg.sites[0].cluster.layout = *kind;
             (name.to_string(), cfg)
         })
         .collect();
@@ -166,7 +166,7 @@ pub fn discharge(ctx: &ExpContext) -> String {
         .iter()
         .map(|(name, strat)| {
             let mut cfg = medium_cfg(ctx, PolicyKind::AllOn);
-            cfg.energy.discharge = *strat;
+            cfg.discharge = *strat;
             (name.to_string(), cfg)
         })
         .collect();
@@ -210,7 +210,7 @@ pub fn cache(ctx: &ExpContext) -> String {
         .iter()
         .map(|(name, bytes)| {
             let mut cfg = medium_cfg(ctx, PolicyKind::GreenMatch { delay_fraction: 1.0 });
-            cfg.cluster.cache_bytes = *bytes;
+            cfg.sites[0].cluster.cache_bytes = *bytes;
             (name.to_string(), cfg)
         })
         .collect();

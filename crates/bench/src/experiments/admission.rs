@@ -27,10 +27,10 @@ const GIB: f64 = (1u64 << 30) as f64;
 pub fn scarce_cfg(ctx: &ExpContext) -> ExperimentConfig {
     let mut cfg = medium_cfg(ctx, PolicyKind::GreenMatch { delay_fraction: 1.0 })
         .with_forecast(ForecastKind::Noisy { cv: 0.3 });
-    if let SourceKind::Solar { area_m2, .. } = &mut cfg.energy.source {
+    if let SourceKind::Solar { area_m2, .. } = &mut cfg.sites[0].source {
         *area_m2 = DEFAULT_AREA_M2 / 8.0;
     }
-    cfg.energy.battery = None;
+    cfg.sites[0].battery = None;
     cfg
 }
 

@@ -2,12 +2,8 @@
 
 use crate::runner::ExpContext;
 use gm_energy::battery::BatterySpec;
-use gm_energy::grid::Grid;
 use gm_energy::solar::SolarProfile;
-use gm_sim::SlotClock;
-use gm_storage::ClusterSpec;
-use gm_workload::trace::WorkloadSpec;
-use greenmatch::config::{EnergyConfig, ExperimentConfig, ForecastKind, SourceKind};
+use greenmatch::config::ExperimentConfig;
 use greenmatch::policy::PolicyKind;
 
 /// Default PV area (m²) for the "solar is not sufficient" experiments
@@ -18,37 +14,18 @@ pub const DEFAULT_BATTERY_WH: f64 = 40_000.0;
 
 /// The medium data center baseline configuration, scaled by `ctx.scale`.
 pub fn medium_cfg(ctx: &ExpContext, policy: PolicyKind) -> ExperimentConfig {
-    let cluster = ClusterSpec::medium_dc();
-    let workload = WorkloadSpec::medium_week(cluster.objects).scaled(ctx.scale);
-    ExperimentConfig {
-        cluster,
-        workload,
-        energy: EnergyConfig {
-            source: SourceKind::Solar {
-                area_m2: DEFAULT_AREA_M2,
-                profile: SolarProfile::SunnySummer,
-            },
-            battery: Some(BatterySpec::lithium_ion(DEFAULT_BATTERY_WH)),
-            grid: Grid::typical_eu(),
-            forecast: ForecastKind::Oracle,
-            discharge: Default::default(),
-        },
-        policy,
-        failures: None,
-        seed: ctx.seed,
-        slots: 7 * 24,
-        clock: SlotClock::hourly(),
-        sites: Vec::new(),
-        wan_cost_per_unit: 0,
-        tiering: None,
-        admission: None,
-    }
+    let mut cfg = ExperimentConfig::medium(ctx.seed)
+        .with_policy(policy)
+        .with_solar(DEFAULT_AREA_M2, SolarProfile::SunnySummer)
+        .with_battery(BatterySpec::lithium_ion(DEFAULT_BATTERY_WH));
+    cfg.workload = cfg.workload.clone().scaled(ctx.scale);
+    cfg
 }
 
 /// Same configuration without a battery.
 pub fn medium_cfg_no_battery(ctx: &ExpContext, policy: PolicyKind) -> ExperimentConfig {
     let mut cfg = medium_cfg(ctx, policy);
-    cfg.energy.battery = None;
+    cfg.sites[0].battery = None;
     cfg
 }
 
@@ -78,9 +55,9 @@ mod tests {
     fn medium_cfg_is_consistent() {
         let cfg = medium_cfg(&ctx(), PolicyKind::AllOn);
         assert_eq!(cfg.slots, 168);
-        assert_eq!(cfg.workload.interactive.objects, cfg.cluster.objects);
-        assert!(cfg.energy.battery.is_some());
-        assert!(medium_cfg_no_battery(&ctx(), PolicyKind::AllOn).energy.battery.is_none());
+        assert_eq!(cfg.workload.interactive.objects, cfg.sites[0].cluster.objects);
+        assert!(cfg.sites[0].battery.is_some());
+        assert!(medium_cfg_no_battery(&ctx(), PolicyKind::AllOn).sites[0].battery.is_none());
     }
 
     #[test]

@@ -60,8 +60,10 @@ pub fn fig1(ctx: &ExpContext) -> String {
             SourceKind::Wind { rated_w: 15_000.0, profile: WindProfile::GustyContinental },
         ),
     ];
-    let traces: Vec<_> =
-        columns.iter().map(|(_, src)| src.materialize(clock, slots, &rngs)).collect();
+    let traces: Vec<_> = columns
+        .iter()
+        .map(|(_, src)| src.try_materialize(clock, slots, &rngs).expect("synthetic source"))
+        .collect();
 
     let mut headers = vec!["slot".to_string(), "hour_of_week".to_string()];
     headers.extend(columns.iter().map(|(n, _)| n.to_string()));
@@ -145,9 +147,9 @@ pub fn fig3(ctx: &ExpContext) -> String {
         for (name, policy, battery) in &policies {
             let mut cfg = medium_cfg_no_battery(ctx, *policy);
             if *battery {
-                cfg.energy.battery = Some(BatterySpec::ideal(1.0e9));
+                cfg.sites[0].battery = Some(BatterySpec::ideal(1.0e9));
             }
-            cfg.energy.source =
+            cfg.sites[0].source =
                 SourceKind::Solar { area_m2: area, profile: SolarProfile::SunnySummer };
             configs.push((format!("{name}@{area:.0}m2"), cfg));
         }
@@ -221,7 +223,7 @@ fn battery_sweep(ctx: &ExpContext) -> Arc<Vec<(String, RunReport)>> {
         for &kwh in &sizes {
             for (name, policy) in &policies {
                 let mut cfg = medium_cfg(ctx, *policy);
-                cfg.energy.battery = (kwh > 0.0).then(|| BatterySpec::lithium_ion(kwh * 1000.0));
+                cfg.sites[0].battery = (kwh > 0.0).then(|| BatterySpec::lithium_ion(kwh * 1000.0));
                 configs.push((format!("{name}@{kwh:.0}kWh"), cfg));
             }
         }

@@ -54,9 +54,9 @@ fn solar_site(name: &str, servers: usize, area_m2: f64, offset_hours: i64) -> Si
 fn geo_base(ctx: &ExpContext, policy: PolicyKind, cluster: ClusterSpec) -> ExperimentConfig {
     let workload = WorkloadSpec::medium_week(cluster.objects).scaled(ctx.scale);
     let mut cfg = ExperimentConfig::medium(ctx.seed);
-    cfg.cluster = cluster;
+    cfg.sites[0].cluster = cluster;
     cfg.workload = workload;
-    cfg.energy.battery = None;
+    cfg.sites[0].battery = None;
     cfg.policy = policy;
     cfg
 }

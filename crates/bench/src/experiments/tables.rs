@@ -173,7 +173,7 @@ pub fn table3(ctx: &ExpContext) -> String {
     for (sname, source) in &sources {
         for (pname, policy) in &policies {
             let mut cfg = medium_cfg(ctx, *policy);
-            cfg.energy.source = source.clone();
+            cfg.sites[0].source = source.clone();
             configs.push((format!("{sname}/{pname}"), cfg));
         }
     }
@@ -215,7 +215,7 @@ pub fn table4(ctx: &ExpContext) -> String {
         .map(|(name, kind)| {
             let mut cfg =
                 medium_cfg_no_battery(ctx, PolicyKind::GreenMatch { delay_fraction: 1.0 });
-            cfg.energy.forecast = *kind;
+            cfg.sites[0].forecast = *kind;
             (name.to_string(), cfg)
         })
         .collect();
@@ -257,7 +257,7 @@ pub fn table5(ctx: &ExpContext) -> String {
     for (bname, wh) in &batteries {
         for (pname, policy) in &policies {
             let mut cfg = medium_cfg(ctx, *policy);
-            cfg.energy.battery = (*wh > 0.0).then(|| BatterySpec::lithium_ion(*wh));
+            cfg.sites[0].battery = (*wh > 0.0).then(|| BatterySpec::lithium_ion(*wh));
             configs.push((format!("{bname}/{pname}"), cfg));
         }
     }
@@ -308,7 +308,7 @@ pub fn table6(ctx: &ExpContext) -> String {
         .iter()
         .map(|(name, policy)| {
             let mut cfg = medium_cfg_no_battery(ctx, *policy);
-            cfg.energy.source =
+            cfg.sites[0].source =
                 SourceKind::Solar { area_m2: 60.0, profile: SolarProfile::CloudySummer };
             // Carbon steering needs room: with the default 12 h windows,
             // deadline-driven timing leaves no freedom across the diurnal

@@ -107,7 +107,7 @@ pub fn fuzz_case(rng: &mut TestRng) -> FuzzCase {
                 PolicyKind::GreenMatchCarbon { delay_fraction: 1.0 },
             ],
         ));
-    cfg.energy.discharge = pick(
+    cfg.discharge = pick(
         rng,
         &[
             DischargeStrategy::Eager,
@@ -140,18 +140,16 @@ pub fn fuzz_case(rng: &mut TestRng) -> FuzzCase {
     // longitudes; WAN pricing from free to prohibitive.
     let n_sites = 1 + (rng.next_u64() % 3) as usize;
     if n_sites > 1 {
-        let mut sites = cfg.site_configs();
-        let home = sites[0].clone();
+        let home = cfg.sites[0].clone();
         for i in 1..n_sites {
             let mut s = home.clone();
             s.name = format!("site{i}");
             s.source = source(rng);
             s.battery = battery(rng);
-            s.forecast = cfg.energy.forecast;
             s.utc_offset_hours = pick(rng, &[-8, -5, 5, 8]);
-            sites.push(s);
+            cfg.sites.push(s);
         }
-        cfg = cfg.with_sites(sites).with_wan_cost(pick(rng, &[0, 200, 2_000, 100_000]));
+        cfg = cfg.with_wan_cost(pick(rng, &[0, 200, 2_000, 100_000]));
     }
 
     // Temperature tiering: roughly one case in three turns the classifier
@@ -188,7 +186,7 @@ pub fn fuzz_case(rng: &mut TestRng) -> FuzzCase {
 /// Compact label of the sampled dimensions, for failure diagnostics.
 pub fn describe(case: &FuzzCase) -> String {
     let cfg = &case.cfg;
-    let chem = match &cfg.energy.battery {
+    let chem = match &cfg.sites[0].battery {
         None => "none".to_string(),
         Some(b) => format!("{:.0}kWh", b.capacity_wh / 1000.0),
     };
@@ -207,8 +205,8 @@ pub fn describe(case: &FuzzCase) -> String {
         cfg.n_sites(),
         cfg.policy.label(),
         chem,
-        cfg.energy.discharge,
-        cfg.energy.forecast,
+        cfg.discharge,
+        cfg.sites[0].forecast,
         cfg.wan_cost_per_unit,
         cfg.failures.is_some(),
         cfg.workload.interactive.streams,
@@ -354,9 +352,9 @@ mod tests {
             let mut rng = TestRng::for_case("fuzzgen-cover", case);
             let case = fuzz_case(&mut rng);
             let cfg = &case.cfg;
-            cfg.validate_sites().expect("generated configs are coherent");
+            assert_eq!(cfg.sites[0].utc_offset_hours, 0, "the home site keeps UTC offset 0");
             multi += (cfg.n_sites() > 1) as u32;
-            with_battery += cfg.energy.battery.is_some() as u32;
+            with_battery += cfg.sites[0].battery.is_some() as u32;
             with_failures += cfg.failures.is_some() as u32;
             respread += (cfg.workload.interactive.streams != 100) as u32;
             tiered += cfg.tiering.is_some() as u32;

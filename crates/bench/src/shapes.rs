@@ -138,7 +138,7 @@ pub fn run_all(ctx: &ExpContext) -> Vec<ShapeCheck> {
             [("gm", gm), ("greedy", PolicyKind::GreedyGreen), ("allon", PolicyKind::AllOn)]
         {
             let mut cfg = medium_cfg_no_battery(ctx, policy);
-            cfg.energy.source =
+            cfg.sites[0].source =
                 SourceKind::Solar { area_m2: area, profile: SolarProfile::SunnySummer };
             configs.push((format!("{pname}@{area:.0}"), cfg));
         }
@@ -147,7 +147,7 @@ pub fn run_all(ctx: &ExpContext) -> Vec<ShapeCheck> {
     for kwh in [40.0f64, 110.0] {
         for (pname, policy) in [("esd", PolicyKind::AllOn), ("gmb", gm)] {
             let mut cfg = medium_cfg(ctx, policy);
-            cfg.energy.battery = Some(BatterySpec::lithium_ion(kwh * 1000.0));
+            cfg.sites[0].battery = Some(BatterySpec::lithium_ion(kwh * 1000.0));
             configs.push((format!("{pname}@{kwh:.0}kwh"), cfg));
         }
     }
@@ -161,7 +161,7 @@ pub fn run_all(ctx: &ExpContext) -> Vec<ShapeCheck> {
     // Layout availability.
     for (lname, layout) in [("gear", LayoutKind::Gear), ("random", LayoutKind::Random)] {
         let mut cfg = medium_cfg(ctx, gm);
-        cfg.cluster.layout = layout;
+        cfg.sites[0].cluster.layout = layout;
         configs.push((format!("layout@{lname}"), cfg));
     }
     let results = run_tagged(configs);

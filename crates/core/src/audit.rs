@@ -816,7 +816,7 @@ mod tests {
         let base = ExperimentConfig::small_demo(11)
             .with_policy(PolicyKind::GreenMatch { delay_fraction: 1.0 })
             .with_slots(48);
-        let mut sites = base.site_configs();
+        let mut sites = base.sites.clone();
         let mut east = sites[0].clone();
         east.name = "east".into();
         east.utc_offset_hours = 8;

@@ -1,9 +1,10 @@
 //! Experiment configuration.
 //!
-//! An [`ExperimentConfig`] fully determines a run: cluster, workload,
-//! energy system (source, battery, grid, forecaster), policy, seed and
-//! horizon. All fields are serde-serialisable so the bench harness can
-//! archive the exact configuration next to every result.
+//! An [`ExperimentConfig`] fully determines a run: its sites (each a
+//! cluster, renewable source, forecaster and battery), workload, grid,
+//! discharge strategy, policy, seed and horizon. All fields are
+//! serde-serialisable so the bench harness can archive the exact
+//! configuration next to every result.
 
 use crate::policy::PolicyKind;
 use gm_energy::battery::BatterySpec;
@@ -18,7 +19,7 @@ use gm_sim::time::SimDuration;
 use gm_sim::{RngFactory, SlotClock, TimeSeries};
 use gm_storage::ClusterSpec;
 use gm_workload::trace::WorkloadSpec;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Which renewable source supplies the site.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,10 +64,6 @@ pub enum SourceKind {
 
 /// Why a configuration could not be materialised into a runnable
 /// simulation.
-///
-/// `Display` keeps the exact wording the old panicking path used, so
-/// `materialize` (the compatibility wrapper) panics with byte-identical
-/// messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// A [`SourceKind::TraceCsv`] file could not be read from disk.
@@ -107,19 +104,9 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl SourceKind {
-    /// Materialise the source into a frozen per-slot power trace (W).
-    ///
-    /// Panics if a [`SourceKind::TraceCsv`] file is missing or malformed —
-    /// a configured measurement file that cannot be read is a setup error,
-    /// not a condition to silently zero-fill. Prefer [`try_materialize`]
-    /// (`SourceKind::try_materialize`) when the caller wants to report the
-    /// problem instead.
-    pub fn materialize(&self, clock: SlotClock, slots: usize, rngs: &RngFactory) -> TimeSeries {
-        self.try_materialize(clock, slots, rngs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Materialise the source, reporting a missing or malformed trace file
-    /// as a [`ConfigError`] instead of panicking.
+    /// Materialise the source into a frozen per-slot power trace (W). A
+    /// [`SourceKind::TraceCsv`] file that is missing or malformed is a
+    /// [`ConfigError`], never a silent zero-fill.
     pub fn try_materialize(
         &self,
         clock: SlotClock,
@@ -299,31 +286,14 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// The energy side of an experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EnergyConfig {
-    /// Renewable source.
-    pub source: SourceKind,
-    /// ESD, if any.
-    pub battery: Option<BatterySpec>,
-    /// Grid backup.
-    pub grid: Grid,
-    /// Forecaster the policy plans with.
-    pub forecast: ForecastKind,
-    /// Battery discharge timing.
-    #[serde(default)]
-    pub discharge: DischargeStrategy,
-}
-
 /// One site of a (possibly geo-federated) experiment: a cluster, its
 /// renewable supply, the forecaster planning over that supply, and an
 /// optional battery.
 ///
-/// A single-site experiment never needs to touch this type — the flat
-/// fields of [`ExperimentConfig`] *are* the one-site sugar, and
-/// [`ExperimentConfig::site_configs`] derives the equivalent one-element
-/// site list from them. Multi-site experiments install explicit sites via
-/// [`ExperimentConfig::with_sites`]; site 0 is always the **home** site,
+/// [`ExperimentConfig::sites`] is the only place a cluster, source,
+/// forecaster or battery is configured. The presets build one site named
+/// `"site0"`; multi-site experiments install their list with
+/// [`ExperimentConfig::with_sites`]. Site 0 is always the **home** site,
 /// which hosts the interactive workload and the failure-injection dice.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SiteConfig {
@@ -378,14 +348,18 @@ impl SiteConfig {
 }
 
 /// A complete, reproducible experiment description.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ExperimentConfig {
-    /// Cluster to simulate.
-    pub cluster: ClusterSpec,
-    /// Workload to drive it with.
+    /// Workload to drive the home site with.
     pub workload: WorkloadSpec,
-    /// Energy system.
-    pub energy: EnergyConfig,
+    /// The sites: each a cluster, its renewable supply, forecaster and
+    /// battery. `sites[0]` is the home site; a single-site experiment has
+    /// exactly one entry.
+    pub sites: Vec<SiteConfig>,
+    /// Grid backup (prices and carbon intensity), shared by every site.
+    pub grid: Grid,
+    /// Battery discharge timing, applied at every site in its local time.
+    pub discharge: DischargeStrategy,
     /// Scheduling policy.
     pub policy: PolicyKind,
     /// Disk-failure injection (None = reliable hardware). When enabled,
@@ -399,29 +373,94 @@ pub struct ExperimentConfig {
     pub slots: usize,
     /// Slot clock.
     pub clock: SlotClock,
-    /// Geo-federated sites. Empty (the default) means the flat fields above
-    /// describe the single site; when non-empty, `sites[0]` is the home
-    /// site and must mirror the flat `cluster`/`energy` fields (use
-    /// [`Self::with_sites`], which keeps them in sync).
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub sites: Vec<SiteConfig>,
     /// Per-unit WAN transfer cost the matcher charges for placing batch
     /// work at a non-home site, on the [`crate::matcher::BROWN_COST`] scale
     /// (one unit = [`crate::matcher::UNIT_BYTES`]). 0 = free transfers.
-    #[serde(default)]
     pub wan_cost_per_unit: i64,
     /// Temperature-tiered storage: hot/warm/cold classification with
     /// erasure-coded demotion of cold objects, migration bytes scheduled
     /// through the matcher. `None` (the default, omitted from archived
     /// JSON) keeps the historic uniform-replication behaviour and leaves
     /// every trace byte-identical.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub tiering: Option<TieringConfig>,
     /// Streaming admission control over newly arriving batch jobs (see
     /// [`AdmissionConfig`]). `None` (the default, omitted from archived
     /// JSON) accepts every arrival and leaves every trace byte-identical.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub admission: Option<AdmissionConfig>,
+}
+
+impl Deserialize for ExperimentConfig {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let v = &upgrade_legacy(v).map_err(|e| DeError(e.to_string()))?;
+        Ok(ExperimentConfig {
+            workload: serde::de_field(v, "workload")?,
+            sites: serde::de_field(v, "sites")?,
+            grid: serde::de_field(v, "grid")?,
+            discharge: serde::de_field_default(v, "discharge")?,
+            policy: serde::de_field(v, "policy")?,
+            failures: serde::de_field(v, "failures")?,
+            seed: serde::de_field(v, "seed")?,
+            slots: serde::de_field(v, "slots")?,
+            clock: serde::de_field(v, "clock")?,
+            wan_cost_per_unit: serde::de_field_default(v, "wan_cost_per_unit")?,
+            tiering: serde::de_field_default(v, "tiering")?,
+            admission: serde::de_field_default(v, "admission")?,
+        })
+    }
+}
+
+/// Rewrite a config value from before `sites` was the only site
+/// representation into the current shape; current-shape values pass
+/// through unchanged. Every config decode (archived results, `--config`
+/// files, the `cfg` inside a snapshot) goes through here.
+///
+/// A legacy value describes the home site with flat `cluster` and
+/// `energy.{source,forecast,battery}` fields, and keeps `grid` and
+/// `discharge` under `energy`. The flat site becomes `sites[0]`, named
+/// `"site0"`, and `grid`/`discharge` move to the top level. A legacy value
+/// that also lists `sites` keeps that list, but only when its home entry
+/// equals the flat fields; a disagreeing one is malformed input.
+pub fn upgrade_legacy(v: &Value) -> Result<Value, ConfigError> {
+    let (Value::Obj(fields), Some(energy)) = (v, v.get("energy")) else { return Ok(v.clone()) };
+    let invalid =
+        |message: String| ConfigError::Invalid { message: format!("legacy config: {message}") };
+    let field = |obj: &Value, name: &str| {
+        obj.get(name).cloned().ok_or_else(|| invalid(format!("missing field {name}")))
+    };
+    let flat = Value::Obj(vec![
+        ("name".into(), Value::Str("site0".into())),
+        ("cluster".into(), field(v, "cluster")?),
+        ("source".into(), field(energy, "source")?),
+        ("forecast".into(), field(energy, "forecast")?),
+        ("battery".into(), field(energy, "battery")?),
+    ]);
+    let sites = match v.get("sites") {
+        Some(Value::Arr(list)) if !list.is_empty() => {
+            let decode =
+                |site: &Value| SiteConfig::from_value(site).map_err(|e| invalid(e.to_string()));
+            let (home, flat) = (decode(&list[0])?, decode(&flat)?);
+            if (&home.cluster, &home.source, home.forecast, home.battery)
+                != (&flat.cluster, &flat.source, flat.forecast, flat.battery)
+            {
+                return Err(invalid(
+                    "sites[0] disagrees with the flat cluster/energy fields".into(),
+                ));
+            }
+            list.clone()
+        }
+        _ => vec![flat],
+    };
+    let mut out: Vec<(String, Value)> = fields
+        .iter()
+        .filter(|(k, _)| !matches!(k.as_str(), "cluster" | "energy" | "sites"))
+        .cloned()
+        .collect();
+    out.push(("sites".into(), Value::Arr(sites)));
+    out.push(("grid".into(), field(energy, "grid")?));
+    out.extend(energy.get("discharge").map(|d| ("discharge".into(), d.clone())));
+    Ok(Value::Obj(out))
 }
 
 impl ExperimentConfig {
@@ -430,26 +469,14 @@ impl ExperimentConfig {
     pub fn small_demo(seed: u64) -> Self {
         let cluster = ClusterSpec::small();
         let workload = WorkloadSpec::small_week(cluster.objects);
-        ExperimentConfig {
+        let source = SourceKind::Solar { area_m2: 15.0, profile: SolarProfile::SunnySummer };
+        ExperimentConfig::preset(
             cluster,
             workload,
-            energy: EnergyConfig {
-                source: SourceKind::Solar { area_m2: 15.0, profile: SolarProfile::SunnySummer },
-                battery: Some(BatterySpec::lithium_ion(10_000.0)),
-                grid: Grid::typical_eu(),
-                forecast: ForecastKind::Oracle,
-                discharge: DischargeStrategy::Eager,
-            },
-            policy: PolicyKind::GreenMatch { delay_fraction: 1.0 },
-            failures: None,
+            source,
+            BatterySpec::lithium_ion(10_000.0),
             seed,
-            slots: 7 * 24,
-            clock: SlotClock::hourly(),
-            sites: Vec::new(),
-            wan_cost_per_unit: 0,
-            tiering: None,
-            admission: None,
-        }
+        )
     }
 
     /// The medium data center of the headline experiments: 48 servers,
@@ -458,26 +485,14 @@ impl ExperimentConfig {
     pub fn medium(seed: u64) -> Self {
         let cluster = ClusterSpec::medium_dc();
         let workload = WorkloadSpec::medium_week(cluster.objects);
-        ExperimentConfig {
+        let source = SourceKind::Solar { area_m2: 120.0, profile: SolarProfile::SunnySummer };
+        ExperimentConfig::preset(
             cluster,
             workload,
-            energy: EnergyConfig {
-                source: SourceKind::Solar { area_m2: 120.0, profile: SolarProfile::SunnySummer },
-                battery: Some(BatterySpec::lithium_ion(40_000.0)),
-                grid: Grid::typical_eu(),
-                forecast: ForecastKind::Oracle,
-                discharge: DischargeStrategy::Eager,
-            },
-            policy: PolicyKind::GreenMatch { delay_fraction: 1.0 },
-            failures: None,
+            source,
+            BatterySpec::lithium_ion(40_000.0),
             seed,
-            slots: 7 * 24,
-            clock: SlotClock::hourly(),
-            sites: Vec::new(),
-            wan_cost_per_unit: 0,
-            tiering: None,
-            admission: None,
-        }
+        )
     }
 
     /// The mega stress configuration: the medium data center driven by the
@@ -487,8 +502,41 @@ impl ExperimentConfig {
     /// synthesis cost follows the *live* stream count, not the population.
     pub fn mega(seed: u64) -> Self {
         let mut cfg = ExperimentConfig::medium(seed);
-        cfg.workload = WorkloadSpec::mega_week(cfg.cluster.objects);
+        cfg.workload = WorkloadSpec::mega_week(cfg.sites[0].cluster.objects);
         cfg
+    }
+
+    /// The presets' shared shape: one site named `"site0"` with an oracle
+    /// forecaster, a typical EU grid, eager discharge, GreenMatch and an
+    /// hourly week.
+    fn preset(
+        cluster: ClusterSpec,
+        workload: WorkloadSpec,
+        source: SourceKind,
+        battery: BatterySpec,
+        seed: u64,
+    ) -> Self {
+        ExperimentConfig {
+            workload,
+            sites: vec![SiteConfig {
+                name: "site0".to_string(),
+                cluster,
+                source,
+                forecast: ForecastKind::Oracle,
+                battery: Some(battery),
+                utc_offset_hours: 0,
+            }],
+            grid: Grid::typical_eu(),
+            discharge: DischargeStrategy::Eager,
+            policy: PolicyKind::GreenMatch { delay_fraction: 1.0 },
+            failures: None,
+            seed,
+            slots: 7 * 24,
+            clock: SlotClock::hourly(),
+            wan_cost_per_unit: 0,
+            tiering: None,
+            admission: None,
+        }
     }
 
     /// Horizon as a duration.
@@ -508,6 +556,10 @@ impl ExperimentConfig {
     //     .with_policy(PolicyKind::AllOn)
     //     .with_slots(24);
     // ```
+    //
+    // The source, battery and forecast builders edit the home site,
+    // `sites[0]`, and leave every other site as it is; on a config with
+    // no sites they panic.
 
     /// Use the given scheduling policy.
     #[must_use]
@@ -516,40 +568,39 @@ impl ExperimentConfig {
         self
     }
 
-    /// Use any renewable source (see also [`Self::with_solar`] /
-    /// [`Self::with_wind`] shorthands).
+    /// Power the home site from any renewable source (see also
+    /// [`Self::with_solar`] / [`Self::with_wind`] shorthands).
     #[must_use]
     pub fn with_source(mut self, source: SourceKind) -> Self {
-        self.energy.source = source;
+        self.sites[0].source = source;
         self
     }
 
-    /// Power the site from a PV farm of the given area.
+    /// Power the home site from a PV farm of the given area.
     #[must_use]
-    pub fn with_solar(mut self, area_m2: f64, profile: SolarProfile) -> Self {
-        self.energy.source = SourceKind::Solar { area_m2, profile };
-        self
+    pub fn with_solar(self, area_m2: f64, profile: SolarProfile) -> Self {
+        self.with_source(SourceKind::Solar { area_m2, profile })
     }
 
-    /// Power the site from a wind turbine of the given nameplate power.
+    /// Power the home site from a wind turbine of the given nameplate
+    /// power.
     #[must_use]
-    pub fn with_wind(mut self, rated_w: f64, profile: WindProfile) -> Self {
-        self.energy.source = SourceKind::Wind { rated_w, profile };
-        self
+    pub fn with_wind(self, rated_w: f64, profile: WindProfile) -> Self {
+        self.with_source(SourceKind::Wind { rated_w, profile })
     }
 
-    /// Install the given battery (`None` removes it; a bare `BatterySpec`
-    /// works too, via `Into<Option<_>>`).
+    /// Install the given battery at the home site (`None` removes it; a
+    /// bare `BatterySpec` works too, via `Into<Option<_>>`).
     #[must_use]
     pub fn with_battery(mut self, battery: impl Into<Option<BatterySpec>>) -> Self {
-        self.energy.battery = battery.into();
+        self.sites[0].battery = battery.into();
         self
     }
 
-    /// Plan with the given production forecaster.
+    /// Plan the home site with the given production forecaster.
     #[must_use]
     pub fn with_forecast(mut self, forecast: ForecastKind) -> Self {
-        self.energy.forecast = forecast;
+        self.sites[0].forecast = forecast;
         self
     }
 
@@ -592,20 +643,9 @@ impl ExperimentConfig {
 
     // --- the site layer ------------------------------------------------
 
-    /// Install an explicit (multi-)site list. `sites[0]` becomes the home
-    /// site and the flat `cluster`/`energy` fields are overwritten to
-    /// mirror it, so code reading the flat fields (planning model, cache
-    /// keys, report labels) stays consistent with the site list.
-    ///
-    /// # Panics
-    /// Panics on an empty site list.
+    /// Install the given site list; `sites[0]` becomes the home site.
     #[must_use]
     pub fn with_sites(mut self, sites: Vec<SiteConfig>) -> Self {
-        assert!(!sites.is_empty(), "an experiment needs at least one site");
-        self.cluster = sites[0].cluster.clone();
-        self.energy.source = sites[0].source.clone();
-        self.energy.forecast = sites[0].forecast;
-        self.energy.battery = sites[0].battery;
         self.sites = sites;
         self
     }
@@ -618,62 +658,26 @@ impl ExperimentConfig {
         self
     }
 
-    /// Number of sites (1 for the flat single-site form).
+    /// Number of sites.
     pub fn n_sites(&self) -> usize {
-        self.sites.len().max(1)
+        self.sites.len()
     }
 
-    /// The effective site list: the explicit `sites`, or the one-site
-    /// equivalent of the flat fields when no explicit sites are configured.
-    pub fn site_configs(&self) -> Vec<SiteConfig> {
-        if self.sites.is_empty() {
-            vec![SiteConfig {
-                name: "site0".to_string(),
-                cluster: self.cluster.clone(),
-                source: self.energy.source.clone(),
-                forecast: self.energy.forecast,
-                battery: self.energy.battery,
-                utc_offset_hours: 0,
-            }]
-        } else {
-            self.sites.clone()
-        }
+    /// The site list; index 0 is the home site.
+    pub fn site_configs(&self) -> &[SiteConfig] {
+        &self.sites
     }
 
-    /// Per-site master seed. Site 0 uses the run seed unchanged (so the
-    /// single-site path draws exactly the historic streams and shares
-    /// cache keys with flat configs); further sites get seeds derived via
-    /// splitmix so their weather noise is independent.
+    /// Per-site master seed. Site 0 uses the run seed unchanged (so a
+    /// single-site run draws exactly the historic streams); further sites
+    /// get seeds derived via splitmix so their weather noise is
+    /// independent.
     pub fn site_seed(&self, site: usize) -> u64 {
         if site == 0 {
             return self.seed;
         }
         let mut s = self.seed ^ (site as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         gm_sim::rng::splitmix64(&mut s)
-    }
-
-    /// Check the home-site mirror invariant: with explicit sites, the flat
-    /// fields must equal `sites[0]` (guaranteed by [`Self::with_sites`];
-    /// hand-built or deserialised configs are validated here).
-    pub fn validate_sites(&self) -> Result<(), ConfigError> {
-        let Some(home) = self.sites.first() else { return Ok(()) };
-        if home.cluster != self.cluster
-            || home.source != self.energy.source
-            || home.forecast != self.energy.forecast
-            || home.battery != self.energy.battery
-        {
-            return Err(ConfigError::Invalid {
-                message: "sites[0] must mirror the flat cluster/energy fields \
-                          (build multi-site configs with with_sites)"
-                    .to_string(),
-            });
-        }
-        if home.utc_offset_hours != 0 {
-            return Err(ConfigError::Invalid {
-                message: "the home site must have utc_offset_hours = 0".to_string(),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -696,12 +700,12 @@ mod tests {
                 wind_profile: WindProfile::SteadyCoastal,
             },
         ] {
-            let trace = src.materialize(c, 48, &rngs);
+            let trace = src.try_materialize(c, 48, &rngs).unwrap();
             assert_eq!(trace.len(), 48, "{}", src.label());
             assert!(trace.values().iter().all(|v| *v >= 0.0));
         }
         // None produces exactly zero; mixed at least as much as either part.
-        assert_eq!(SourceKind::None.materialize(c, 5, &rngs).sum(), 0.0);
+        assert_eq!(SourceKind::None.try_materialize(c, 5, &rngs).unwrap().sum(), 0.0);
     }
 
     #[test]
@@ -709,16 +713,19 @@ mod tests {
         let rngs = RngFactory::new(9);
         let c = SlotClock::hourly();
         let solar = SourceKind::Solar { area_m2: 30.0, profile: SolarProfile::SunnySummer }
-            .materialize(c, 72, &rngs);
+            .try_materialize(c, 72, &rngs)
+            .unwrap();
         let wind = SourceKind::Wind { rated_w: 8_000.0, profile: WindProfile::CalmWeek }
-            .materialize(c, 72, &rngs);
+            .try_materialize(c, 72, &rngs)
+            .unwrap();
         let mixed = SourceKind::Mixed {
             area_m2: 30.0,
             solar_profile: SolarProfile::SunnySummer,
             rated_w: 8_000.0,
             wind_profile: WindProfile::CalmWeek,
         }
-        .materialize(c, 72, &rngs);
+        .try_materialize(c, 72, &rngs)
+        .unwrap();
         // Same seed ⇒ same component streams ⇒ exact sum.
         for s in 0..72 {
             assert!((mixed.get(s) - (solar.get(s) + wind.get(s))).abs() < 1e-9);
@@ -746,9 +753,9 @@ mod tests {
         let small = ExperimentConfig::small_demo(1);
         assert_eq!(small.slots, 168);
         assert_eq!(small.horizon(), SimDuration::from_days(7));
-        assert_eq!(small.workload.interactive.objects, small.cluster.objects);
+        assert_eq!(small.workload.interactive.objects, small.sites[0].cluster.objects);
         let medium = ExperimentConfig::medium(1);
-        assert_eq!(medium.workload.interactive.objects, medium.cluster.objects);
+        assert_eq!(medium.workload.interactive.objects, medium.sites[0].cluster.objects);
     }
 
     #[test]
@@ -791,7 +798,7 @@ mod tests {
         let medium_rate =
             medium.workload.interactive.streams as f64 * medium.workload.interactive.rate_rps;
         assert!((mega_rate - medium_rate).abs() < 1e-6);
-        assert_eq!(mega.cluster, medium.cluster);
+        assert_eq!(mega.sites, medium.sites);
     }
 
     #[test]
@@ -799,10 +806,10 @@ mod tests {
         let a = ExperimentConfig::small_demo(1).with_solar(80.0, SolarProfile::SunnySummer);
         let b = ExperimentConfig::small_demo(1)
             .with_source(SourceKind::Solar { area_m2: 80.0, profile: SolarProfile::SunnySummer });
-        assert_eq!(a.energy.source, b.energy.source);
+        assert_eq!(a.sites[0].source, b.sites[0].source);
         let w = ExperimentConfig::small_demo(1).with_wind(9_000.0, WindProfile::SteadyCoastal);
         assert_eq!(
-            w.energy.source,
+            w.sites[0].source,
             SourceKind::Wind { rated_w: 9_000.0, profile: WindProfile::SteadyCoastal }
         );
     }

@@ -18,27 +18,31 @@
 //!   greedy opportunistic GreedyGreen, and EDF ordering; with a battery in
 //!   the config, All-On is exactly the "ESD-only" reference policy.
 //! * [`simulation`] — the slot loop as a resumable state machine:
-//!   [`simulation::Simulation`] steps one slot at a time, each step
+//!   [`simulation::Simulation`], built with
+//!   [`simulation::Simulation::builder`], steps one slot at a time, each step
 //!   yielding a [`simulation::SlotOutcome`] (decision, executed bytes,
 //!   energy flows, battery state, job events, latency); [`observe`]
 //!   provides the [`observe::SlotObserver`] hook plus ready-made JSONL /
 //!   CSV trace writers and a per-phase profiler.
-//! * [`harness`] — [`harness::run_experiment`], the one-shot wrapper that
-//!   runs a simulation to the end and returns a [`report::RunReport`].
 //! * [`audit`] — the conservation auditor: an always-compiled, opt-in
 //!   invariant checker ([`audit::ConservationAuditor`] per slot, plus the
 //!   deep [`simulation::Simulation::post_run_audit`]) that re-verifies the
 //!   energy, byte, and job accounting identities at run time and reports
 //!   breaks as structured [`audit::AuditViolation`]s.
 //!
+//! An experiment is an [`config::ExperimentConfig`]: a list of sites (each a
+//! cluster, renewable source, forecaster and battery; the presets build one),
+//! plus the workload, grid, policy, seed and horizon.
+//! [`simulation::Simulation::builder`] is the one entry point that runs it:
+//!
 //! ```no_run
 //! use greenmatch::config::ExperimentConfig;
-//! use greenmatch::harness::run_experiment;
 //! use greenmatch::policy::PolicyKind;
+//! use greenmatch::simulation::Simulation;
 //!
 //! let cfg = ExperimentConfig::small_demo(42)
 //!     .with_policy(PolicyKind::GreenMatch { delay_fraction: 1.0 });
-//! let report = run_experiment(&cfg);
+//! let report = Simulation::builder(&cfg).build().expect("config materialises").run_to_end();
 //! println!("brown energy: {:.1} kWh", report.brown_kwh);
 //! ```
 //!
@@ -63,7 +67,6 @@
 pub mod audit;
 pub mod baselines;
 pub mod config;
-pub mod harness;
 pub mod matcher;
 pub mod mincostflow;
 pub mod observe;
@@ -76,8 +79,7 @@ pub mod snapshot;
 pub mod world;
 
 pub use audit::{AuditReport, AuditViolation, ConservationAuditor};
-pub use config::{ConfigError, EnergyConfig, ExperimentConfig, SiteConfig, SourceKind};
-pub use harness::run_experiment;
+pub use config::{ConfigError, ExperimentConfig, SiteConfig, SourceKind};
 pub use observe::{
     CsvSeriesObserver, JsonlTraceObserver, NullObserver, Phase, PhaseProfile, PhaseTimer,
     SlotObserver,

@@ -114,22 +114,6 @@ impl MinCostFlow {
         self.graph[e.to][e.rev].cap
     }
 
-    /// Number of user-added edges.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// The capacity and per-unit cost an edge was last configured with
-    /// (its pre-solve parameters — any flow pushed by `solve` is added
-    /// back, so the answer is stable across solves).
-    #[must_use]
-    pub fn edge_params(&self, id: EdgeId) -> (i64, i64) {
-        let (from, idx) = self.handles[id.0];
-        let e = self.graph[from][idx];
-        (e.cap + self.graph[e.to][e.rev].cap, e.cost)
-    }
-
     /// Push up to `max_flow` units from `s` to `t` at minimum total cost.
     /// Stops early when no augmenting path remains (the returned flow is
     /// then the max flow ≤ `max_flow`).
@@ -334,16 +318,6 @@ mod tests {
         let r = g.solve(0, 1, 5);
         assert_eq!(r.flow, 0);
         assert_eq!(g.flow_on(e), 0);
-    }
-
-    #[test]
-    fn edge_params_reports_configuration_across_solves() {
-        let mut g = MinCostFlow::new(2);
-        let e = g.add_edge(0, 1, 5, 3);
-        assert_eq!(g.edge_params(e), (5, 3));
-        let _ = g.solve(0, 1, 10);
-        assert_eq!(g.edge_params(e), (5, 3), "params are pre-solve values");
-        assert_eq!(g.edge_count(), 1);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub(crate) fn run(sim: &mut Simulation, ctx: &SlotContext, scratch: &SlotScratch
         battery,
         model: home.model,
         writelog_pending_bytes: home.cluster.write_log().pending_total(),
-        grid: sim.cfg.energy.grid,
+        grid: sim.cfg.grid,
         sites: &site_views,
     };
     sim.policy.decide(&sched)

@@ -99,7 +99,7 @@ fn settle_site(
 }
 
 pub(crate) fn run(sim: &mut Simulation, ctx: &SlotContext) -> Settled {
-    let discharge = sim.cfg.energy.discharge;
+    let discharge = sim.cfg.discharge;
     let multi_site = sim.sites.len() > 1;
 
     // Settle every site; aggregate flows sum exactly to the home site's

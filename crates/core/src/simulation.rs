@@ -1,8 +1,8 @@
 //! The step-wise simulation core.
 //!
-//! [`Simulation`] is the resumable state machine behind
-//! [`crate::harness::run_experiment`]: construct it from an
-//! [`ExperimentConfig`], drive it one slot at a time with
+//! [`Simulation`] is the resumable state machine that runs an
+//! experiment: build it from an [`ExperimentConfig`] with
+//! [`Simulation::builder`], drive it one slot at a time with
 //! [`Simulation::step`] (each step returns a [`SlotOutcome`] describing
 //! everything that happened in that slot), or let
 //! [`Simulation::run_to_end`] finish the horizon and produce the final
@@ -277,7 +277,7 @@ pub struct SimulationBuilder<'c, 's> {
 impl<'c, 's> SimulationBuilder<'c, 's> {
     /// Run over an already-materialised [`World`] instead of materialising
     /// one at build time. The world must have been materialised for the
-    /// builder's config (same seed, workload, energy and cluster sections).
+    /// builder's config (same seed, workload, site sources and clusters).
     pub fn world(mut self, world: World) -> Self {
         self.world = Some(world);
         self
@@ -354,7 +354,7 @@ impl<'c, 's> SimulationBuilder<'c, 's> {
         let world = match self.world {
             Some(world) => world,
             None => match self.cache {
-                Some(cache) => World::try_materialize_in(self.cfg, cache)?,
+                Some(cache) => cache.get_or_materialize(self.cfg)?,
                 None => World::try_materialize(self.cfg)?,
             },
         };
@@ -490,14 +490,14 @@ impl<'s> Simulation<'s> {
     /// Build the per-run mutable state over an already-materialised world.
     ///
     /// `world` must have been materialised for `cfg` (same seed, workload,
-    /// energy and cluster sections) — the cache key derivation in
+    /// site sources and clusters) — the cache key derivation in
     /// [`crate::world`] guarantees this on the cached path.
     fn assemble(cfg: &ExperimentConfig, world: World, scratch: Scratch<'s>) -> Simulation<'s> {
         let clock = cfg.clock;
         let slots = cfg.slots;
         let width = clock.width();
         let World { workload, sites: site_worlds } = world;
-        let site_cfgs = cfg.site_configs();
+        let site_cfgs = &cfg.sites;
         debug_assert_eq!(site_cfgs.len(), site_worlds.len(), "world built for another config");
 
         let mut sites = Vec::with_capacity(site_cfgs.len());
@@ -526,7 +526,7 @@ impl<'s> Simulation<'s> {
                 battery_spec,
                 battery: Battery::new(battery_spec),
                 utc_offset_hours: site_cfg.utc_offset_hours,
-                ledger: EnergyLedger::new(clock, cfg.energy.grid),
+                ledger: EnergyLedger::new(clock, cfg.grid),
                 gears_series: Vec::with_capacity(slots),
                 rr_cursor: 0,
                 prev_spinups: vec![0u64; n_disks],
@@ -537,9 +537,9 @@ impl<'s> Simulation<'s> {
         let policy = cfg.policy.build();
         let home_model = sites[0].model;
 
-        let positioning_s =
-            cfg.cluster.disk.avg_seek.as_secs_f64() + cfg.cluster.disk.avg_rotation.as_secs_f64();
-        let secs_per_byte = 1.0 / cfg.cluster.disk.transfer_bps;
+        let disk = &cfg.sites[0].cluster.disk;
+        let positioning_s = disk.avg_seek.as_secs_f64() + disk.avg_rotation.as_secs_f64();
+        let secs_per_byte = 1.0 / disk.transfer_bps;
         let total_batch_bw =
             home_model.gears as f64 * home_model.disks_per_gear as f64 * home_model.disk_bw_bps;
 
@@ -1084,7 +1084,7 @@ impl<'s> Simulation<'s> {
         let home = &mut self.sites[0];
         RunReport {
             policy: self.policy.label(),
-            source: self.cfg.energy.source.label(),
+            source: self.cfg.sites[0].source.label(),
             battery: battery_label(&home.battery_spec),
             seed: self.cfg.seed,
             slots: self.slots,
@@ -1159,6 +1159,8 @@ mod tests {
     use crate::config::SourceKind;
     use crate::observe::{NullObserver, PhaseTimer};
     use crate::policy::PolicyKind;
+    use gm_energy::solar::SolarProfile;
+    use gm_sim::time::SimTime;
 
     fn quick_cfg() -> ExperimentConfig {
         ExperimentConfig::small_demo(11).with_slots(24)
@@ -1205,14 +1207,14 @@ mod tests {
     }
 
     #[test]
-    fn stepwise_report_equals_run_experiment() {
+    fn stepwise_report_equals_run_to_end() {
         let cfg = quick_cfg();
-        let via_wrapper = crate::harness::run_experiment(&cfg);
+        let whole = sim(&cfg).run_to_end();
         let mut sim = sim(&cfg);
         while sim.step().is_some() {}
         let via_steps = sim.into_report();
         assert_eq!(
-            serde_json::to_string(&via_wrapper).unwrap(),
+            serde_json::to_string(&whole).unwrap(),
             serde_json::to_string(&via_steps).unwrap(),
             "step-wise run must be field-for-field identical"
         );
@@ -1221,7 +1223,7 @@ mod tests {
     #[test]
     fn observers_do_not_change_the_report() {
         let cfg = quick_cfg();
-        let bare = crate::harness::run_experiment(&cfg);
+        let bare = sim(&cfg).run_to_end();
         let (timer, profile) = PhaseTimer::new();
         let observed = sim(&cfg)
             .with_observer(Box::new(NullObserver))
@@ -1277,7 +1279,7 @@ mod tests {
     fn multi_site_run_aggregates_per_site_flows() {
         let base =
             quick_cfg().with_policy(PolicyKind::GreenMatch { delay_fraction: 1.0 }).with_slots(48);
-        let mut sites = base.site_configs();
+        let mut sites = base.sites.clone();
         let mut east = sites[0].clone();
         east.name = "east".into();
         east.utc_offset_hours = 8;
@@ -1315,7 +1317,7 @@ mod tests {
         // Site 1 is site 0's solar field pushed 8 hours east: its trace is
         // the home trace rotated, so the two sites peak at different slots.
         let base = quick_cfg().with_slots(48);
-        let mut sites = base.site_configs();
+        let mut sites = base.sites.clone();
         let mut east = sites[0].clone();
         east.name = "east".into();
         east.utc_offset_hours = 8;
@@ -1339,13 +1341,13 @@ mod tests {
         // discharged during the home site's evening instead of its own.
         use crate::config::DischargeStrategy;
         let base = quick_cfg().with_slots(72);
-        let mut sites = base.site_configs();
+        let mut sites = base.sites.clone();
         let mut east = sites[0].clone();
         east.name = "east".into();
         east.utc_offset_hours = 8;
         sites.push(east);
         let mut cfg = base.with_sites(sites).with_wan_cost(200);
-        cfg.energy.discharge = DischargeStrategy::PeakOnly;
+        cfg.discharge = DischargeStrategy::PeakOnly;
 
         let mut sim = sim(&cfg);
         let mut east_out = 0.0;
@@ -1395,5 +1397,207 @@ mod tests {
         }
         let report = sim.into_report();
         assert!(report.repairs_completed > 0, "storm must complete repairs");
+    }
+
+    fn policy_cfg(policy: PolicyKind) -> ExperimentConfig {
+        let mut cfg = ExperimentConfig::small_demo(7);
+        cfg.policy = policy;
+        cfg.slots = 48; // two days is enough for unit checks
+        cfg
+    }
+
+    #[test]
+    fn deadline_slot_helper() {
+        let c = SlotClock::hourly();
+        // Deadline exactly at the end of slot 11.
+        assert_eq!(deadline_slot_for(c, SimTime::from_hours(12)), 11);
+        // Mid-slot deadline: last safe slot is the previous one.
+        assert_eq!(
+            deadline_slot_for(c, SimTime::from_hours(12) + gm_sim::SimDuration::from_mins(30)),
+            11
+        );
+        // Deadline within the first slot.
+        assert_eq!(deadline_slot_for(c, SimTime(5)), 0);
+    }
+
+    #[test]
+    fn run_completes_and_balances() {
+        let r = sim(&policy_cfg(PolicyKind::AllOn)).run_to_end();
+        assert_eq!(r.slots, 48);
+        assert!(r.load_kwh > 0.0);
+        assert!(r.brown_kwh >= 0.0);
+        // Supply identity at the report level.
+        let served = r.green_direct_kwh + r.battery_out_kwh + r.brown_kwh;
+        assert!((served - r.load_kwh).abs() < 1e-6, "served {served} vs load {}", r.load_kwh);
+        assert!(r.green_utilization >= 0.0 && r.green_utilization <= 1.0);
+        assert!(r.latency.count > 0, "interactive requests were served");
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let a = sim(&policy_cfg(PolicyKind::GreenMatch { delay_fraction: 1.0 })).run_to_end();
+        let b = sim(&policy_cfg(PolicyKind::GreenMatch { delay_fraction: 1.0 })).run_to_end();
+        assert_eq!(a.brown_kwh, b.brown_kwh);
+        assert_eq!(a.latency.count, b.latency.count);
+        assert_eq!(a.gears_series, b.gears_series);
+        assert_eq!(a.spinups, b.spinups);
+    }
+
+    #[test]
+    fn all_on_never_changes_gears() {
+        let r = sim(&policy_cfg(PolicyKind::AllOn)).run_to_end();
+        assert!(r.gears_series.iter().all(|&g| g == 3));
+        assert_eq!(r.spinups, 0, "nothing ever spun down");
+    }
+
+    #[test]
+    fn power_prop_uses_fewer_gear_hours_than_all_on() {
+        let all_on = sim(&policy_cfg(PolicyKind::AllOn)).run_to_end();
+        let pp = sim(&policy_cfg(PolicyKind::PowerProportional)).run_to_end();
+        let gh_all: usize = all_on.gears_series.iter().sum();
+        let gh_pp: usize = pp.gears_series.iter().sum();
+        assert!(gh_pp < gh_all, "power-prop parks gears: {gh_pp} vs {gh_all}");
+        assert!(pp.load_kwh < all_on.load_kwh, "less idle burn");
+    }
+
+    #[test]
+    fn greenmatch_consumes_less_brown_than_all_on_without_battery() {
+        let mut cfg_a = policy_cfg(PolicyKind::AllOn);
+        cfg_a.sites[0].battery = None;
+        let mut cfg_g = policy_cfg(PolicyKind::GreenMatch { delay_fraction: 1.0 });
+        cfg_g.sites[0].battery = None;
+        let a = sim(&cfg_a).run_to_end();
+        let g = sim(&cfg_g).run_to_end();
+        assert!(
+            g.brown_kwh < a.brown_kwh,
+            "greenmatch {} should beat all-on {}",
+            g.brown_kwh,
+            a.brown_kwh
+        );
+    }
+
+    #[test]
+    fn battery_reduces_brown_for_all_on() {
+        let mut with = policy_cfg(PolicyKind::AllOn);
+        with.sites[0].source =
+            SourceKind::Solar { area_m2: 120.0, profile: SolarProfile::SunnySummer };
+        let mut without = with.clone();
+        without.sites[0].battery = None;
+        let r_with = sim(&with).run_to_end();
+        let r_without = sim(&without).run_to_end();
+        assert!(
+            r_with.brown_kwh < r_without.brown_kwh,
+            "battery {} vs none {}",
+            r_with.brown_kwh,
+            r_without.brown_kwh
+        );
+        assert!(r_with.battery_out_kwh > 0.0);
+    }
+
+    #[test]
+    fn batch_jobs_complete_under_every_policy() {
+        for policy in [
+            PolicyKind::AllOn,
+            PolicyKind::PowerProportional,
+            PolicyKind::GreedyGreen,
+            PolicyKind::GreenMatch { delay_fraction: 1.0 },
+        ] {
+            let r = sim(&policy_cfg(policy)).run_to_end();
+            assert!(r.batch.jobs_submitted > 0);
+            let done_frac = r.batch.jobs_completed as f64 / r.batch.jobs_submitted as f64;
+            assert!(
+                done_frac > 0.7,
+                "{}: only {:.0}% of jobs completed",
+                r.policy,
+                done_frac * 100.0
+            );
+            assert!(
+                r.batch.miss_rate() < 0.30,
+                "{}: miss rate {:.1}%",
+                r.policy,
+                r.batch.miss_rate() * 100.0
+            );
+        }
+    }
+
+    #[test]
+    fn failure_injection_spawns_and_completes_repairs() {
+        let mut cfg = policy_cfg(PolicyKind::PowerProportional);
+        cfg.slots = 7 * 24;
+        // Absurdly high AFR so a one-week run sees plenty of failures.
+        cfg.failures = Some(gm_storage::FailureSpec {
+            afr: 20.0,
+            standby_factor: 0.5,
+            spinup_wear_hours: 10.0,
+        });
+        let r = sim(&cfg).run_to_end();
+        assert!(r.failures > 0, "with AFR 2000%/yr a week must see failures");
+        assert!(r.rebuild_bytes > 0);
+        assert!(r.repairs_completed > 0, "repair jobs scheduled and finished");
+        assert!(
+            r.repairs_completed <= r.failures,
+            "{} repairs vs {} failures",
+            r.repairs_completed,
+            r.failures
+        );
+        // Batch stats must not be polluted by repairs.
+        assert_eq!(r.batch.jobs_submitted, {
+            let mut clean = cfg.clone();
+            clean.failures = None;
+            sim(&clean).run_to_end().batch.jobs_submitted
+        });
+    }
+
+    #[test]
+    fn discharge_strategies_shift_battery_use() {
+        use crate::config::DischargeStrategy;
+        let base = policy_cfg(PolicyKind::AllOn);
+        let mut peak_only = base.clone();
+        peak_only.discharge = DischargeStrategy::PeakOnly;
+        let mut reserve = base.clone();
+        reserve.discharge = DischargeStrategy::Reserve(0.5);
+
+        let eager = sim(&base).run_to_end();
+        let po = sim(&peak_only).run_to_end();
+        let rv = sim(&reserve).run_to_end();
+
+        // Same physics: identical load, different attribution.
+        assert!((eager.load_kwh - po.load_kwh).abs() < 1e-6);
+        // Peak-only never discharges off-peak: check the series directly
+        // (slots 23..7 have midpoints off-peak).
+        for (s, &out) in po.battery_out_series_wh.iter().enumerate() {
+            let hour = (s % 24) as f64 + 0.5;
+            if !(7.0..23.0).contains(&hour) {
+                assert_eq!(out, 0.0, "off-peak discharge at slot {s}");
+            }
+        }
+        // Reserve strategy holds energy back: it should never deliver more
+        // total energy than eager.
+        assert!(rv.battery_out_kwh <= eager.battery_out_kwh + 1e-9);
+        // Grid cost ordering: restricting discharge to peak hours cannot
+        // make the energy *bill* better than eager here (eager already
+        // discharges whenever there is deficit), but must beat doing it
+        // blindly at night rates only — sanity: all costs are positive.
+        assert!(po.cost_dollars > 0.0 && eager.cost_dollars > 0.0);
+    }
+
+    #[test]
+    fn no_failures_without_injection() {
+        let r = sim(&policy_cfg(PolicyKind::AllOn)).run_to_end();
+        assert_eq!(r.failures, 0);
+        assert_eq!(r.lost_objects, 0);
+        assert_eq!(r.rebuild_bytes, 0);
+        assert_eq!(r.repairs_completed, 0);
+    }
+
+    #[test]
+    fn no_renewables_means_zero_green() {
+        let mut cfg = policy_cfg(PolicyKind::AllOn);
+        cfg.sites[0].source = SourceKind::None;
+        cfg.sites[0].battery = None;
+        let r = sim(&cfg).run_to_end();
+        assert_eq!(r.green_produced_kwh, 0.0);
+        assert!((r.brown_kwh - r.load_kwh).abs() < 1e-9);
+        assert_eq!(r.green_coverage, 0.0);
     }
 }

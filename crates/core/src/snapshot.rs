@@ -35,10 +35,11 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 /// Format version; bumped whenever the snapshot shape changes
-/// incompatibly. Restore also accepts versions 1 (pre-tiering) and 2
-/// (pre-admission): every newer field defaults to the empty state such a
-/// run was necessarily in.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// incompatibly. Restore also accepts versions 1 (pre-tiering), 2
+/// (pre-admission) and 3 (flat single-site `cfg`): every newer field
+/// defaults to the empty state such a run was necessarily in, and an older
+/// `cfg` is upgraded by [`crate::config::upgrade_legacy`].
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Serde default for [`Snapshot::next_migration_id`] (v1 snapshots never
 /// allocated one).

@@ -50,8 +50,7 @@ pub struct SiteWorld {
 ///
 /// The workload is global (interactive traffic and batch arrivals enter at
 /// the home site); traces and layouts are per-site, one [`SiteWorld`] per
-/// entry of [`ExperimentConfig::site_configs`]. `sites[0]` is the home
-/// site.
+/// entry of [`ExperimentConfig::sites`]. `sites[0]` is the home site.
 #[derive(Clone)]
 pub struct World {
     /// Generated workload population (interactive streams + batch jobs).
@@ -89,8 +88,7 @@ impl World {
     /// missing trace file still surfaces only after the cluster and
     /// workload build.
     pub fn try_materialize(cfg: &ExperimentConfig) -> Result<World, ConfigError> {
-        cfg.validate_sites()?;
-        let site_cfgs = cfg.site_configs();
+        let site_cfgs = checked_sites(cfg)?;
         let layouts: Vec<Arc<ClusterLayout>> =
             site_cfgs.iter().map(|s| Arc::new(ClusterLayout::new(s.cluster.clone()))).collect();
         let workload = Arc::new(Workload::generate(cfg.workload.clone(), cfg.seed));
@@ -101,15 +99,6 @@ impl World {
             sites.push(SiteWorld { green_trace, layout });
         }
         Ok(World { workload, sites })
-    }
-
-    /// Materialise through `cache`: each component is built at most once
-    /// per distinct key and shared as an `Arc` thereafter.
-    pub fn try_materialize_in(
-        cfg: &ExperimentConfig,
-        cache: &WorldCache,
-    ) -> Result<World, ConfigError> {
-        cache.get_or_materialize(cfg)
     }
 }
 
@@ -171,6 +160,18 @@ pub struct WorldCache {
     stats: CacheStats,
 }
 
+/// `cfg`'s site list, once it has a home site at UTC offset 0.
+fn checked_sites(cfg: &ExperimentConfig) -> Result<&[SiteConfig], ConfigError> {
+    let invalid = |message: &str| Err(ConfigError::Invalid { message: message.to_string() });
+    match cfg.sites.first() {
+        None => invalid("an experiment needs at least one site"),
+        Some(home) if home.utc_offset_hours != 0 => {
+            invalid("the home site must have utc_offset_hours = 0")
+        }
+        Some(_) => Ok(&cfg.sites),
+    }
+}
+
 /// Every world-component key of `cfg`, in a fixed order: the workload key
 /// first, then each site's trace key and layout key. Snapshots store these
 /// strings instead of the materialised components — a checkpoint
@@ -179,7 +180,7 @@ pub struct WorldCache {
 /// an exact resume from a cross-world branch.
 pub fn world_keys(cfg: &ExperimentConfig) -> Vec<String> {
     let mut keys = vec![format!("workload/{}", workload_key(cfg))];
-    for (i, site) in cfg.site_configs().iter().enumerate() {
+    for (i, site) in cfg.sites.iter().enumerate() {
         keys.push(format!("trace/{}", trace_key(cfg, site, cfg.site_seed(i))));
         keys.push(format!("layout/{}", layout_key(site)));
     }
@@ -234,8 +235,7 @@ impl WorldCache {
     /// a file is fallible and the file may change between runs); all
     /// synthetic sources are infallible and cache cleanly.
     pub fn get_or_materialize(&self, cfg: &ExperimentConfig) -> Result<World, ConfigError> {
-        cfg.validate_sites()?;
-        let site_cfgs = cfg.site_configs();
+        let site_cfgs = checked_sites(cfg)?;
         let layouts: Vec<Arc<ClusterLayout>> = site_cfgs
             .iter()
             .map(|site| {
@@ -293,7 +293,7 @@ mod tests {
         let cfg = ExperimentConfig::small_demo(5);
         let cold = World::try_materialize(&cfg).expect("materialises");
         let cache = WorldCache::new();
-        let warm = World::try_materialize_in(&cfg, &cache).expect("materialises");
+        let warm = cache.get_or_materialize(&cfg).expect("materialises");
         assert_eq!(cold.green_trace().values(), warm.green_trace().values());
         assert_eq!(cold.workload.batch_jobs(), warm.workload.batch_jobs());
         assert_eq!(cold.layout().object_count(), warm.layout().object_count());

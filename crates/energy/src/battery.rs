@@ -22,7 +22,7 @@
 //! and discharging" modeling convention.
 
 use gm_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Battery technology presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -44,7 +44,7 @@ impl BatteryChemistry {
 }
 
 /// Full parameterisation of an ESD.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BatterySpec {
     /// Nominal capacity in Wh.
     pub capacity_wh: f64,
@@ -65,6 +65,29 @@ pub struct BatterySpec {
     pub cycle_life: f64,
     /// Volumetric energy density in Wh per litre.
     pub density_wh_per_litre: f64,
+}
+
+impl Deserialize for BatterySpec {
+    /// JSON has no infinity, so the unbounded limits of
+    /// [`BatterySpec::ideal`] (rate, cycle life, density) are written as
+    /// `null`; they read back as +∞.
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let limit = |name: &str| match v.get(name) {
+            Some(Value::Null) => Ok(f64::INFINITY),
+            _ => serde::de_field(v, name),
+        };
+        Ok(BatterySpec {
+            capacity_wh: serde::de_field(v, "capacity_wh")?,
+            dod: serde::de_field(v, "dod")?,
+            efficiency: serde::de_field(v, "efficiency")?,
+            charge_rate_per_hour: limit("charge_rate_per_hour")?,
+            discharge_to_charge_ratio: serde::de_field(v, "discharge_to_charge_ratio")?,
+            self_discharge_per_day: serde::de_field(v, "self_discharge_per_day")?,
+            price_per_kwh: serde::de_field(v, "price_per_kwh")?,
+            cycle_life: limit("cycle_life")?,
+            density_wh_per_litre: limit("density_wh_per_litre")?,
+        })
+    }
 }
 
 impl BatterySpec {
@@ -492,6 +515,17 @@ mod tests {
         assert_eq!(out.drawn_wh, 0.0);
         assert_eq!(b.discharge(100.0, HOUR), 0.0);
         assert_eq!(b.soc(), 0.0);
+    }
+
+    #[test]
+    fn ideal_battery_spec_roundtrips_through_json() {
+        let spec = BatterySpec::ideal(1.0e9);
+        let json = serde_json::to_string(&spec).expect("serialises");
+        assert!(json.contains("\"cycle_life\":null"), "{json}");
+        let back: BatterySpec = serde_json::from_str(&json).expect("parses");
+        assert_eq!(back, spec);
+        assert!(serde_json::from_str::<BatterySpec>(&json.replace("\"dod\":1.0", "\"dod\":null"))
+            .is_err());
     }
 
     #[test]

@@ -14,8 +14,8 @@
 use gm_energy::battery::BatterySpec;
 use gm_energy::solar::SolarProfile;
 use greenmatch::config::ExperimentConfig;
-use greenmatch::harness::run_experiment;
 use greenmatch::policy::PolicyKind;
+use greenmatch::simulation::Simulation;
 
 fn main() {
     let sizes_kwh = [0.0, 2.0, 5.0, 10.0, 20.0, 40.0];
@@ -30,7 +30,8 @@ fn main() {
                 .with_policy(policy)
                 .with_solar(60.0, SolarProfile::SunnySummer)
                 .with_battery((kwh > 0.0).then(|| BatterySpec::lithium_ion(kwh * 1000.0)));
-            brown.push(run_experiment(&cfg).brown_kwh);
+            let sim = Simulation::builder(&cfg).build().expect("config materialises");
+            brown.push(sim.run_to_end().brown_kwh);
         }
         println!("{:>10.0} | {:>12.1} kWh | {:>12.1} kWh", kwh, brown[0], brown[1]);
     }

@@ -9,8 +9,8 @@
 use gm_energy::battery::BatterySpec;
 use gm_energy::solar::SolarProfile;
 use greenmatch::config::ExperimentConfig;
-use greenmatch::harness::run_experiment;
 use greenmatch::policy::PolicyKind;
+use greenmatch::simulation::Simulation;
 
 fn brown_at(area_m2: f64, policy: PolicyKind) -> f64 {
     // Idealised ESD so only panel area limits greening (sizing methodology).
@@ -18,7 +18,7 @@ fn brown_at(area_m2: f64, policy: PolicyKind) -> f64 {
         .with_policy(policy)
         .with_solar(area_m2, SolarProfile::SunnySummer)
         .with_battery(BatterySpec::ideal(1_000_000.0));
-    let r = run_experiment(&cfg);
+    let r = Simulation::builder(&cfg).build().expect("config materialises").run_to_end();
     // Warm-start brown: the battery starts empty, so the first night's
     // draw is a cold-start artefact independent of panel area.
     r.brown_series_wh.iter().skip(24).sum::<f64>() / 1000.0

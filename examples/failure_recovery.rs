@@ -13,8 +13,8 @@
 
 use gm_storage::FailureSpec;
 use greenmatch::config::ExperimentConfig;
-use greenmatch::harness::run_experiment;
 use greenmatch::policy::PolicyKind;
+use greenmatch::simulation::Simulation;
 
 fn main() {
     // ~100× accelerated AFR so a single simulated week shows the dynamics.
@@ -32,7 +32,7 @@ fn main() {
         ("greenmatch", PolicyKind::GreenMatch { delay_fraction: 1.0 }),
     ] {
         let cfg = ExperimentConfig::small_demo(42).with_policy(policy).with_failures(fail_spec);
-        let r = run_experiment(&cfg);
+        let r = Simulation::builder(&cfg).build().expect("config materialises").run_to_end();
         println!(
             "{:<14} | {:>9.1} | {:>8} | {:>7} | {:>6} | {:>9} | {:>10.1}",
             name,

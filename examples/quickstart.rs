@@ -6,8 +6,8 @@
 //! ```
 
 use greenmatch::config::ExperimentConfig;
-use greenmatch::harness::run_experiment;
 use greenmatch::policy::PolicyKind;
+use greenmatch::simulation::Simulation;
 
 fn main() {
     // A 6-server, 12-disk cluster with a 40 m² PV array and a 10 kWh
@@ -17,11 +17,12 @@ fn main() {
         .with_policy(PolicyKind::GreenMatch { delay_fraction: 1.0 });
 
     println!("Running one simulated week ({} slots)...\n", cfg.slots);
-    let report = run_experiment(&cfg);
+    let report = Simulation::builder(&cfg).build().expect("config materialises").run_to_end();
     println!("{report}");
 
     // The same week, energy-oblivious, for contrast.
-    let baseline = run_experiment(&cfg.with_policy(PolicyKind::AllOn));
+    let cfg = cfg.with_policy(PolicyKind::AllOn);
+    let baseline = Simulation::builder(&cfg).build().expect("config materialises").run_to_end();
     println!("--- energy-oblivious baseline ---\n{baseline}");
 
     let saving = (1.0 - report.brown_kwh / baseline.brown_kwh.max(1e-9)) * 100.0;

@@ -13,8 +13,8 @@
 
 use gm_energy::wind::WindProfile;
 use greenmatch::config::ExperimentConfig;
-use greenmatch::harness::run_experiment;
 use greenmatch::policy::PolicyKind;
+use greenmatch::simulation::Simulation;
 
 fn main() {
     let policies = [
@@ -34,7 +34,7 @@ fn main() {
         let cfg = ExperimentConfig::small_demo(42)
             .with_policy(policy)
             .with_wind(6_000.0, WindProfile::SteadyCoastal);
-        let r = run_experiment(&cfg);
+        let r = Simulation::builder(&cfg).build().expect("config materialises").run_to_end();
         println!(
             "{:<20} | {:>10.1} | {:>8.1}% | {:>8.1}% | {:>8}",
             name,

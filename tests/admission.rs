@@ -10,7 +10,6 @@
 
 use gm_workload::EventFeed;
 use greenmatch::config::{AdmissionConfig, ExperimentConfig, ForecastKind};
-use greenmatch::harness::run_experiment;
 use greenmatch::policy::PolicyKind;
 use greenmatch::simulation::{Simulation, SimulationBuilder};
 use greenmatch::world::World;
@@ -38,7 +37,7 @@ fn replay_fed(cfg: &ExperimentConfig) -> SimulationBuilder<'_, 'static> {
 #[test]
 fn feed_replay_is_byte_identical_to_batch() {
     let cfg = base_cfg(42);
-    let batch = run_experiment(&cfg);
+    let batch = Simulation::builder(&cfg).build().expect("config materialises").run_to_end();
     let fed = replay_fed(&cfg).build().expect("config materialises").run_to_end();
     assert_eq!(
         serde_json::to_string(&batch).unwrap(),
@@ -50,7 +49,7 @@ fn feed_replay_is_byte_identical_to_batch() {
 #[test]
 fn feed_replay_is_byte_identical_under_admission_too() {
     let cfg = gated_cfg(7, 0.9);
-    let batch = run_experiment(&cfg);
+    let batch = Simulation::builder(&cfg).build().expect("config materialises").run_to_end();
     let fed = replay_fed(&cfg).build().expect("config materialises").run_to_end();
     assert_eq!(serde_json::to_string(&batch).unwrap(), serde_json::to_string(&fed).unwrap(),);
 }
@@ -60,7 +59,7 @@ fn external_feed_drives_the_run_identically() {
     // Hand-drive a feed slot by slot instead of pre-loading it with
     // `EventFeed::replay`: the path external drivers (gm-serve) use.
     let cfg = base_cfg(11);
-    let batch = run_experiment(&cfg);
+    let batch = Simulation::builder(&cfg).build().expect("config materialises").run_to_end();
 
     let (mut tx, feed) = gm_workload::EventFeed::new();
     let sim = Simulation::builder(&cfg).feed(feed).build().expect("config materialises");
@@ -76,15 +75,19 @@ fn external_feed_drives_the_run_identically() {
 
 #[test]
 fn admission_defaults_off_and_reports_nothing() {
-    let report = run_experiment(&base_cfg(3));
+    let report =
+        Simulation::builder(&base_cfg(3)).build().expect("config materialises").run_to_end();
     assert!(report.admission.is_none(), "no gate, no admission section");
 }
 
 #[test]
 fn gate_accounts_for_every_arrival() {
     let cfg = gated_cfg(5, 0.9);
-    let ungated = run_experiment(&base_cfg(5).with_forecast(ForecastKind::Noisy { cv: 0.3 }));
-    let report = run_experiment(&cfg);
+    let ungated = Simulation::builder(&base_cfg(5).with_forecast(ForecastKind::Noisy { cv: 0.3 }))
+        .build()
+        .expect("config materialises")
+        .run_to_end();
+    let report = Simulation::builder(&cfg).build().expect("config materialises").run_to_end();
     let adm = report.admission.expect("gate ran");
     // Conservation: every job the ungated run submitted was either
     // accepted, rejected, or still held when the horizon ended.
@@ -101,7 +104,10 @@ fn tightening_alpha_rejects_monotonically_more() {
     let mut prev_turned_away = 0u64;
     let mut prev_accepted = u64::MAX;
     for alpha in [0.5, 0.8, 0.9, 0.99] {
-        let report = run_experiment(&gated_cfg(21, alpha));
+        let report = Simulation::builder(&gated_cfg(21, alpha))
+            .build()
+            .expect("config materialises")
+            .run_to_end();
         let adm = report.admission.expect("gate ran");
         let turned_away = adm.rejected + adm.pending_at_end as u64;
         assert!(
@@ -135,7 +141,7 @@ fn gated_snapshot_resumes_byte_identically() {
         .build()
         .expect("snapshot restores")
         .run_to_end();
-    let cold = run_experiment(&cfg);
+    let cold = Simulation::builder(&cfg).build().expect("config materialises").run_to_end();
     assert_eq!(
         serde_json::to_string(&resumed).unwrap(),
         serde_json::to_string(&cold).unwrap(),
@@ -156,7 +162,7 @@ fn feed_mode_snapshot_resumes_byte_identically() {
     drop(sim);
     let resumed =
         replay_fed(&cfg).resume_from(&snap).build().expect("snapshot restores").run_to_end();
-    let cold = run_experiment(&cfg);
+    let cold = Simulation::builder(&cfg).build().expect("config materialises").run_to_end();
     assert_eq!(serde_json::to_string(&resumed).unwrap(), serde_json::to_string(&cold).unwrap(),);
 }
 
@@ -164,8 +170,12 @@ fn feed_mode_snapshot_resumes_byte_identically() {
 fn oracle_forecast_gate_is_open_under_ample_supply() {
     // Degenerate bands (oracle) make the gate a pure capacity check; with
     // the small demo's PV sized near the load, most work passes.
-    let report =
-        run_experiment(&base_cfg(9).with_admission(AdmissionConfig { alpha: 0.9, defer_slots: 4 }));
+    let report = Simulation::builder(
+        &base_cfg(9).with_admission(AdmissionConfig { alpha: 0.9, defer_slots: 4 }),
+    )
+    .build()
+    .expect("config materialises")
+    .run_to_end();
     let adm = report.admission.expect("gate ran");
     assert!(adm.accepted > 0, "an oracle-banded gate must accept work");
 }

@@ -10,8 +10,8 @@ use gm_energy::solar::SolarProfile;
 use gm_energy::wind::WindProfile;
 use gm_workload::trace::WorkloadSpec;
 use greenmatch::config::{ExperimentConfig, ForecastKind, SourceKind};
-use greenmatch::harness::run_experiment;
 use greenmatch::policy::PolicyKind;
+use greenmatch::simulation::Simulation;
 use proptest::prelude::*;
 
 fn policy_strategy() -> impl Strategy<Value = PolicyKind> {
@@ -43,12 +43,12 @@ fn tiny_cfg(
     battery_wh: f64,
 ) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::small_demo(seed);
-    cfg.workload = WorkloadSpec::small_week(cfg.cluster.objects).scaled(0.3);
+    cfg.workload = WorkloadSpec::small_week(cfg.sites[0].cluster.objects).scaled(0.3);
     cfg.slots = 24;
     cfg.policy = policy;
-    cfg.energy.source = source;
-    cfg.energy.battery = (battery_wh > 0.0).then(|| BatterySpec::lithium_ion(battery_wh));
-    cfg.energy.forecast = ForecastKind::Oracle;
+    cfg.sites[0].source = source;
+    cfg.sites[0].battery = (battery_wh > 0.0).then(|| BatterySpec::lithium_ion(battery_wh));
+    cfg.sites[0].forecast = ForecastKind::Oracle;
     cfg
 }
 
@@ -62,7 +62,7 @@ proptest! {
         source in source_strategy(),
         battery_wh in prop_oneof![Just(0.0), 100.0f64..20_000.0],
     ) {
-        let r = run_experiment(&tiny_cfg(seed, policy, source.clone(), battery_wh));
+        let r = Simulation::builder(&tiny_cfg(seed, policy, source.clone(), battery_wh)).build().expect("config materialises").run_to_end();
 
         // Supply identity: load is fully attributed.
         let served = r.green_direct_kwh + r.battery_out_kwh + r.brown_kwh;
@@ -105,8 +105,8 @@ proptest! {
         seed in 0u64..500,
         policy in policy_strategy(),
     ) {
-        let r = run_experiment(&tiny_cfg(seed, policy,
-            SourceKind::Solar { area_m2: 20.0, profile: SolarProfile::SunnySummer }, 5_000.0));
+        let r = Simulation::builder(&tiny_cfg(seed, policy,
+            SourceKind::Solar { area_m2: 20.0, profile: SolarProfile::SunnySummer }, 5_000.0)).build().expect("config materialises").run_to_end();
         prop_assert!(r.batch.jobs_completed <= r.batch.jobs_submitted);
         prop_assert!(r.batch.deadline_misses <= r.batch.jobs_completed);
         prop_assert!(r.batch.bytes_completed <= r.batch.bytes_submitted);

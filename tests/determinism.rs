@@ -1,8 +1,8 @@
 //! End-to-end determinism and seed-sensitivity across the whole pipeline.
 
 use greenmatch::config::ExperimentConfig;
-use greenmatch::harness::run_experiment;
 use greenmatch::policy::PolicyKind;
+use greenmatch::simulation::Simulation;
 
 fn cfg(seed: u64) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::small_demo(seed);
@@ -13,8 +13,8 @@ fn cfg(seed: u64) -> ExperimentConfig {
 
 #[test]
 fn identical_seeds_are_bit_identical() {
-    let a = run_experiment(&cfg(99));
-    let b = run_experiment(&cfg(99));
+    let a = Simulation::builder(&cfg(99)).build().expect("config materialises").run_to_end();
+    let b = Simulation::builder(&cfg(99)).build().expect("config materialises").run_to_end();
     assert_eq!(a.brown_kwh.to_bits(), b.brown_kwh.to_bits());
     assert_eq!(a.load_kwh.to_bits(), b.load_kwh.to_bits());
     assert_eq!(a.curtailed_kwh.to_bits(), b.curtailed_kwh.to_bits());
@@ -28,8 +28,8 @@ fn identical_seeds_are_bit_identical() {
 
 #[test]
 fn different_seeds_change_the_workload() {
-    let a = run_experiment(&cfg(1));
-    let b = run_experiment(&cfg(2));
+    let a = Simulation::builder(&cfg(1)).build().expect("config materialises").run_to_end();
+    let b = Simulation::builder(&cfg(2)).build().expect("config materialises").run_to_end();
     assert_ne!(a.latency.count, b.latency.count, "different request streams");
     assert_ne!(a.green_produced_kwh.to_bits(), b.green_produced_kwh.to_bits(), "different clouds");
 }
@@ -42,8 +42,8 @@ fn policies_see_identical_workload_and_weather() {
     a_cfg.policy = PolicyKind::AllOn;
     let mut b_cfg = cfg(7);
     b_cfg.policy = PolicyKind::GreedyGreen;
-    let a = run_experiment(&a_cfg);
-    let b = run_experiment(&b_cfg);
+    let a = Simulation::builder(&a_cfg).build().expect("config materialises").run_to_end();
+    let b = Simulation::builder(&b_cfg).build().expect("config materialises").run_to_end();
     assert_eq!(a.latency.count, b.latency.count);
     assert_eq!(a.green_produced_kwh.to_bits(), b.green_produced_kwh.to_bits());
     assert_eq!(a.batch.jobs_submitted, b.batch.jobs_submitted);

@@ -5,21 +5,24 @@
 use gm_energy::battery::BatterySpec;
 use gm_energy::solar::SolarProfile;
 use greenmatch::config::{ExperimentConfig, SourceKind};
-use greenmatch::harness::run_experiment;
 use greenmatch::policy::PolicyKind;
 use greenmatch::report::RunReport;
+use greenmatch::simulation::Simulation;
 
 fn cfg(policy: PolicyKind, battery_wh: f64, area_m2: f64, slots: usize) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::small_demo(1234);
     cfg.policy = policy;
     cfg.slots = slots;
-    cfg.energy.source = SourceKind::Solar { area_m2, profile: SolarProfile::SunnySummer };
-    cfg.energy.battery = (battery_wh > 0.0).then(|| BatterySpec::lithium_ion(battery_wh));
+    cfg.sites[0].source = SourceKind::Solar { area_m2, profile: SolarProfile::SunnySummer };
+    cfg.sites[0].battery = (battery_wh > 0.0).then(|| BatterySpec::lithium_ion(battery_wh));
     cfg
 }
 
 fn run(policy: PolicyKind, battery_wh: f64, area_m2: f64) -> RunReport {
-    run_experiment(&cfg(policy, battery_wh, area_m2, 72))
+    Simulation::builder(&cfg(policy, battery_wh, area_m2, 72))
+        .build()
+        .expect("config materialises")
+        .run_to_end()
 }
 
 #[test]
@@ -110,7 +113,7 @@ fn gear_scaling_actually_moves_power() {
     // the morning green window needs a second gear on every seed tried.
     let mut c = cfg(PolicyKind::GreenMatch { delay_fraction: 1.0 }, 0.0, 20.0, 72);
     c.workload.batch.mean_bytes *= 2.0;
-    let gm = run_experiment(&c);
+    let gm = Simulation::builder(&c).build().expect("config materialises").run_to_end();
     let min_gear = *gm.gears_series.iter().min().expect("nonempty");
     let max_gear = *gm.gears_series.iter().max().expect("nonempty");
     assert_eq!(min_gear, 1, "nights should drop to one gear");

@@ -206,7 +206,7 @@ fn multi_site_resume_is_byte_identical_and_clean() {
     let base = ExperimentConfig::small_demo(7)
         .with_slots(48)
         .with_policy(PolicyKind::GreenMatch { delay_fraction: 1.0 });
-    let mut sites = base.site_configs();
+    let mut sites = base.sites.clone();
     let mut east = sites[0].clone();
     east.name = "east".into();
     east.utc_offset_hours = 8;
@@ -248,7 +248,7 @@ fn branched_variants_complete_and_conserve() {
         .with_policy(PolicyKind::GreenMatch { delay_fraction: 1.0 });
     let snap = snapshot_at(&base, 20);
 
-    let mut doubled = base.energy.battery.expect("small_demo has a battery");
+    let mut doubled = base.sites[0].battery.expect("small_demo has a battery");
     doubled.capacity_wh *= 2.0;
     let variants: Vec<(&str, ExperimentConfig)> = vec![
         ("policy→AllOn", base.clone().with_policy(PolicyKind::AllOn)),
@@ -366,7 +366,7 @@ fn archived_json_with_retired_knob_keys_loads_and_runs_identically() {
     let base = ExperimentConfig::small_demo(7)
         .with_slots(48)
         .with_policy(PolicyKind::GreenMatch { delay_fraction: 1.0 });
-    let mut sites = base.site_configs();
+    let mut sites = base.sites.clone();
     let mut east = sites[0].clone();
     east.name = "east".into();
     east.utc_offset_hours = 8;

@@ -7,6 +7,9 @@
 //! * a committed golden file (`tests/golden/small_demo_trace.jsonl`) for
 //!   the `small_demo` preset — regenerate with
 //!   `GM_UPDATE_GOLDEN=1 cargo test --test telemetry`;
+//! * the same preset's config JSON in its legacy flat form
+//!   (`tests/golden/small_demo_legacy_config.json`) must reproduce that
+//!   golden trace, and a legacy two-site file the new-form config's trace;
 //! * same-seed runs must produce byte-identical traces;
 //! * every record must conserve energy on both sides of the meter;
 //! * attaching a `NullObserver` must not change the final report.
@@ -15,11 +18,16 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use greenmatch::config::ExperimentConfig;
-use greenmatch::harness::run_experiment;
 use greenmatch::observe::{JsonlTraceObserver, NullObserver};
 use greenmatch::simulation::Simulation;
 
 const GOLDEN_PATH: &str = "tests/golden/small_demo_trace.jsonl";
+/// `small_demo(42)` as its config JSON was written before `sites` became
+/// the only site representation (flat `cluster` and `energy` fields).
+const LEGACY_SMALL_DEMO: &str = "tests/golden/small_demo_legacy_config.json";
+/// [`two_site_cfg`] in the same legacy form: flat fields mirroring an
+/// explicit `sites` list.
+const LEGACY_TWO_SITE: &str = "tests/golden/two_site_legacy_config.json";
 
 /// `io::Write` sink whose bytes remain reachable after the observer (and
 /// the simulation that owns it) is dropped.
@@ -120,9 +128,10 @@ fn same_seed_traces_are_byte_identical_for_every_policy() {
 fn one_site_config_traces_match_flat_config_for_every_policy() {
     use greenmatch::policy::PolicyKind;
 
-    // Spelling the single site out explicitly via `sites` must be pure
-    // sugar over the flat fields: the degenerate one-site path produces a
-    // byte-identical trace, for every policy.
+    // The flat single-site form survives only as legacy JSON. Loading it
+    // must give the preset's one-site config and a byte-identical trace,
+    // for every policy.
+    let legacy = std::fs::read_to_string(LEGACY_SMALL_DEMO).expect("legacy fixture");
     let policies = [
         PolicyKind::AllOn,
         PolicyKind::PowerProportional,
@@ -134,33 +143,65 @@ fn one_site_config_traces_match_flat_config_for_every_policy() {
         PolicyKind::GreenMatchCarbon { delay_fraction: 1.0 },
     ];
     for policy in policies {
-        let flat = ExperimentConfig::small_demo(7).with_slots(48).with_policy(policy);
-        let sited = flat.clone().with_sites(flat.site_configs());
+        let policy_json = serde_json::to_string(&policy).expect("policy serialises");
+        let flat_json = legacy.replace("\"slots\":168", "\"slots\":48").replace(
+            r#""policy":{"GreenMatch":{"delay_fraction":1.0}}"#,
+            &format!("\"policy\":{policy_json}"),
+        );
+        let flat: ExperimentConfig = serde_json::from_str(&flat_json).expect("legacy config loads");
+        let sited = ExperimentConfig::small_demo(42).with_slots(48).with_policy(policy);
+        assert_eq!(
+            serde_json::to_string(&flat).unwrap(),
+            serde_json::to_string(&sited).unwrap(),
+            "{policy:?}: legacy config upgraded to a different config"
+        );
         let a = trace_bytes(&flat);
         let b = trace_bytes(&sited);
         assert!(!a.is_empty(), "{policy:?}: trace should contain records");
-        assert_eq!(a, b, "{policy:?}: explicit one-site config diverged from flat config");
+        assert_eq!(a, b, "{policy:?}: legacy flat config diverged from the one-site config");
     }
 }
 
 #[test]
-fn multi_site_traces_are_deterministic() {
+fn legacy_config_file_reproduces_the_golden_trace() {
+    let json = std::fs::read_to_string(LEGACY_SMALL_DEMO).expect("legacy fixture");
+    let cfg: ExperimentConfig = serde_json::from_str(&json).expect("legacy config loads");
+    let golden = std::fs::read(GOLDEN_PATH).expect("golden trace");
+    assert!(trace_bytes(&cfg) == golden, "legacy small_demo config diverged from the golden trace");
+}
+
+/// `small_demo(7)` over 48 slots plus a copy of its site eight hours
+/// east, with a WAN price: the two-site case of the site layer.
+fn two_site_cfg() -> ExperimentConfig {
     use greenmatch::policy::PolicyKind;
 
     let base = ExperimentConfig::small_demo(7)
         .with_slots(48)
         .with_policy(PolicyKind::GreenMatch { delay_fraction: 1.0 });
-    let mut sites = base.site_configs();
+    let mut sites = base.sites.clone();
     let mut east = sites[0].clone();
     east.name = "east".into();
     east.utc_offset_hours = 8;
     sites.push(east);
-    let cfg = base.with_sites(sites).with_wan_cost(200);
+    base.with_sites(sites).with_wan_cost(200)
+}
 
+#[test]
+fn multi_site_traces_are_deterministic() {
+    let cfg = two_site_cfg();
     let first = trace_bytes(&cfg);
     let second = trace_bytes(&cfg);
     assert!(!first.is_empty(), "trace should contain records");
     assert_eq!(first, second, "multi-site runs must be deterministic byte for byte");
+}
+
+#[test]
+fn legacy_two_site_config_traces_match_the_sites_config() {
+    let json = std::fs::read_to_string(LEGACY_TWO_SITE).expect("legacy fixture");
+    let legacy: ExperimentConfig = serde_json::from_str(&json).expect("legacy config loads");
+    let cfg = two_site_cfg();
+    assert_eq!(serde_json::to_string(&legacy).unwrap(), serde_json::to_string(&cfg).unwrap());
+    assert!(trace_bytes(&legacy) == trace_bytes(&cfg), "legacy two-site config diverged");
 }
 
 /// Like [`trace_bytes`], but materialising the world through `cache`.
@@ -301,7 +342,7 @@ fn every_record_conserves_energy() {
 #[test]
 fn null_observer_does_not_change_the_report() {
     let cfg = ExperimentConfig::small_demo(3).with_slots(72);
-    let plain = run_experiment(&cfg);
+    let plain = Simulation::builder(&cfg).build().expect("config materialises").run_to_end();
 
     let observed = Simulation::builder(&cfg)
         .observer(Box::new(NullObserver))

@@ -44,7 +44,10 @@ fn tiered_cfg(seed: u64) -> ExperimentConfig {
 #[test]
 fn tiered_run_is_audit_clean_and_reduces_capacity() {
     let cfg = tiered_cfg(11);
-    let baseline = greenmatch::harness::run_experiment(&cfg.clone().with_tiering(None));
+    let baseline = Simulation::builder(&cfg.clone().with_tiering(None))
+        .build()
+        .expect("config materialises")
+        .run_to_end();
     let (sim, audit) =
         Simulation::builder(&cfg).build().expect("config materialises").run_audited();
     assert!(audit.is_clean(), "tiered run violated conservation: {}", audit.summary());
@@ -67,15 +70,19 @@ fn tiered_run_is_audit_clean_and_reduces_capacity() {
 
 #[test]
 fn tiering_off_reports_no_tier_activity() {
-    let r = greenmatch::harness::run_experiment(&ExperimentConfig::small_demo(11).with_slots(24));
+    let r = Simulation::builder(&ExperimentConfig::small_demo(11).with_slots(24))
+        .build()
+        .expect("config materialises")
+        .run_to_end();
     assert_eq!(r.migrations_completed, 0);
     assert_eq!(r.migrated_bytes, 0);
     assert_eq!(r.ec_objects, 0);
     assert_eq!(r.migration_green_share, 0.0);
     // Capacity is the static replicated footprint.
     let cfg = ExperimentConfig::small_demo(11);
-    let expected =
-        cfg.cluster.objects as u64 * cfg.cluster.replication as u64 * cfg.cluster.object_size_bytes;
+    let expected = cfg.sites[0].cluster.objects as u64
+        * cfg.sites[0].cluster.replication as u64
+        * cfg.sites[0].cluster.object_size_bytes;
     assert_eq!(r.capacity_in_use_bytes, expected);
 }
 
@@ -151,11 +158,13 @@ fn tiering_off_snapshot_stays_v1_shaped_and_v1_restores() {
     let json = sim.snapshot().to_json();
     drop(sim);
     assert!(!json.contains("migration"), "tiering-off snapshot must stay v1-shaped");
-    assert!(json.contains("\"version\":3"));
+    let current = format!("\"version\":{}", greenmatch::SNAPSHOT_VERSION);
+    assert!(json.contains(&current));
 
-    // Rewind the version field: this is byte-for-byte what a pre-tiering
+    // Rewind the version field: apart from the `cfg`, whose older flat
+    // form tests/config_upgrade.rs covers, this is what a pre-tiering
     // build would have written.
-    let v1_json = json.replace("\"version\":3", "\"version\":1");
+    let v1_json = json.replace(&current, "\"version\":1");
     let snap = Snapshot::from_json(&v1_json).expect("v1 snapshots must still parse");
     assert_eq!(snap.version, 1);
 
@@ -164,7 +173,7 @@ fn tiering_off_snapshot_stays_v1_shaped_and_v1_restores() {
         .build()
         .expect("v1 snapshot restores")
         .run_to_end();
-    let cold = greenmatch::harness::run_experiment(&cfg);
+    let cold = Simulation::builder(&cfg).build().expect("config materialises").run_to_end();
     assert_eq!(
         serde_json::to_string(&report).unwrap(),
         serde_json::to_string(&cold).unwrap(),

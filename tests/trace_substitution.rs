@@ -6,8 +6,8 @@ use gm_energy::traces::{trace_from_csv, trace_to_csv};
 use gm_sim::{SlotClock, TimeSeries};
 use gm_workload::trace::{batch_jobs_from_csv, batch_jobs_to_csv, Workload, WorkloadSpec};
 use greenmatch::config::{ExperimentConfig, SourceKind};
-use greenmatch::harness::run_experiment;
 use greenmatch::policy::PolicyKind;
+use greenmatch::simulation::Simulation;
 
 #[test]
 fn supply_trace_csv_drives_a_full_run() {
@@ -24,9 +24,9 @@ fn supply_trace_csv_drives_a_full_run() {
     let mut cfg = ExperimentConfig::small_demo(9);
     cfg.slots = 48;
     cfg.policy = PolicyKind::GreenMatch { delay_fraction: 1.0 };
-    cfg.energy.source =
+    cfg.sites[0].source =
         SourceKind::TraceCsv { label: "square".into(), path: path.to_string_lossy().into_owned() };
-    let r = run_experiment(&cfg);
+    let r = Simulation::builder(&cfg).build().expect("config materialises").run_to_end();
 
     // Exactly the trace's energy was produced: 2 kW × 10 h × 2 days.
     assert!((r.green_produced_kwh - 40.0).abs() < 1e-6, "{}", r.green_produced_kwh);
@@ -50,9 +50,9 @@ fn trace_source_zero_pads_beyond_file_end() {
 
     let mut cfg = ExperimentConfig::small_demo(3);
     cfg.slots = 72; // three days, trace covers one
-    cfg.energy.source =
+    cfg.sites[0].source =
         SourceKind::TraceCsv { label: "short".into(), path: path.to_string_lossy().into_owned() };
-    let r = run_experiment(&cfg);
+    let r = Simulation::builder(&cfg).build().expect("config materialises").run_to_end();
     // Day 1 produced 12 kWh; days 2–3 produced nothing.
     assert!((r.green_produced_kwh - 12.0).abs() < 1e-6, "{}", r.green_produced_kwh);
     assert!(r.green_series_wh[30] == 0.0 && r.green_series_wh[60] == 0.0);
@@ -76,11 +76,11 @@ fn batch_trace_substitution_roundtrips_through_generation() {
 #[test]
 fn config_with_trace_source_roundtrips_json() {
     let mut cfg = ExperimentConfig::small_demo(1);
-    cfg.energy.source =
+    cfg.sites[0].source =
         SourceKind::TraceCsv { label: "x".into(), path: "/tmp/nonexistent.csv".into() };
     let json = serde_json::to_string(&cfg).expect("serialise");
     let back: ExperimentConfig = serde_json::from_str(&json).expect("parse");
-    match back.energy.source {
+    match &back.sites[0].source {
         SourceKind::TraceCsv { label, path } => {
             assert_eq!(label, "x");
             assert_eq!(path, "/tmp/nonexistent.csv");
